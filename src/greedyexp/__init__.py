@@ -37,6 +37,7 @@ from .counterexample import (
     choose_k,
     default_config,
     run_counterexample,
+    run_plan,
 )
 from .analysis import (
     VerificationReport,

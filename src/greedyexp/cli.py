@@ -24,7 +24,7 @@ from .dictionaries import (
     Scripted,
     dictionary_from_config,
 )
-from .errors import GreedyExpansionError, ConfigInvalidError
+from .errors import GreedyExpansionError, ConfigInvalidError, parse_tagged
 
 SEED_ENV_VAR = "GREEDY_SEED"
 
@@ -48,21 +48,28 @@ def _target_from_config(spec: dict) -> SparseVector:
         return SparseVector.from_json(_load_json(spec["file"]))
     if "counterexample" in spec:
         ce = spec["counterexample"]
-        cfg = counterexample.CounterexampleConfig(
-            t=float(ce["t"]),
-            k=int(ce["k"]) if "k" in ce else counterexample.choose_k(float(ce["t"])),
-            num_groups=int(ce["groups"]),
-        )
+        cfg = counterexample.default_config(
+            float(ce["t"]), int(ce["groups"]), int(ce["k"]) if "k" in ce else None)
         return counterexample.build_target(cfg)
     raise ConfigInvalidError("target spec needs 'inline', 'file' or 'counterexample'")
 
 
+def _max_greedy(spec: dict) -> MaxGreedy:
+    if set(spec) != {"kind"}:
+        raise ConfigInvalidError(f"unknown policy spec {spec!r}")
+    return MaxGreedy()
+
+
+_POLICY_BUILDERS = {
+    "max_greedy": _max_greedy,
+    "scripted": lambda spec: Scripted(spec.get("atoms", [])),
+}
+
+
 def _policy_from_config(spec) -> object:
-    if spec is None or spec == {"kind": "max_greedy"} or spec == "max_greedy":
-        return MaxGreedy()
-    if isinstance(spec, dict) and spec.get("kind") == "scripted":
-        return Scripted(spec.get("atoms", []))
-    raise ConfigInvalidError(f"unknown policy spec {spec!r}")
+    if spec is None or spec == "max_greedy":
+        spec = {"kind": "max_greedy"}
+    return parse_tagged(spec, _POLICY_BUILDERS, "policy")
 
 
 def _effective_seed(config: dict):
@@ -123,15 +130,11 @@ def cmd_counterexample(args) -> int:
     if not 0.0 < args.t < 1.0:
         return _fail(f"the divergence construction needs t strictly inside (0, 1), got {args.t}")
     try:
-        cfg = counterexample.CounterexampleConfig(
-            t=args.t,
-            k=args.k if args.k is not None else counterexample.choose_k(args.t),
-            num_groups=args.groups,
-        )
+        cfg = counterexample.default_config(args.t, args.groups, args.k)
         plan = counterexample.build_plan(cfg)
     except GreedyExpansionError as exc:
         return _fail(str(exc))
-    trace = counterexample.run_counterexample(cfg)
+    trace = counterexample.run_plan(plan)
     engine.write_trace_csv(trace, args.out)
     norms = trace.residual_norms()
     marks_out = []

@@ -87,10 +87,6 @@ class SparseVector:
     def norm(self) -> float:
         return math.sqrt(math.fsum(v * v for v in self._entries.values()))
 
-    def blocks(self) -> set:
-        """Block labels present in the support (plain indices contribute nothing)."""
-        return {i[0] for i in self._entries if isinstance(i, tuple)}
-
     def block_restriction(self, block: int) -> "SparseVector":
         """Component of a block-indexed vector, re-expressed on plain inner indices."""
         return SparseVector(
@@ -118,9 +114,6 @@ class SparseVector:
         inside = ", ".join(f"{i}: {v!r}" for i, v in sorted(
             self._entries.items(), key=lambda kv: index_key(kv[0])))
         return f"SparseVector({{{inside}}})"
-
-
-ZERO_VECTOR = SparseVector()
 
 
 def inner(u: SparseVector, v: SparseVector) -> float:

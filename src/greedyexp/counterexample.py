@@ -95,8 +95,9 @@ def choose_k(t: float) -> int:
     return k
 
 
-def default_config(t: float, num_groups: int) -> CounterexampleConfig:
-    return CounterexampleConfig(t=t, k=choose_k(t), num_groups=num_groups)
+def default_config(t: float, num_groups: int, k: Optional[int] = None) -> CounterexampleConfig:
+    """The config for t and num_groups, with k = choose_k(t) unless k is given."""
+    return CounterexampleConfig(t=t, k=choose_k(t) if k is None else k, num_groups=num_groups)
 
 
 def group_ranges(cfg: CounterexampleConfig) -> list:
@@ -260,16 +261,20 @@ def build_plan(cfg: CounterexampleConfig) -> AdversarialPlan:
     return AdversarialPlan(cfg, Explicit(coeffs), selections, marks)
 
 
-def run_counterexample(cfg: CounterexampleConfig, max_steps: Optional[int] = None) -> Trace:
-    """Execute the scripted schedule; an Aborted status means a construction bug."""
-    plan = build_plan(cfg)
+def run_plan(plan: AdversarialPlan, max_steps: Optional[int] = None) -> Trace:
+    """Execute a built schedule; an Aborted status means a construction bug."""
     if max_steps is None:
         max_steps = len(plan) + 1   # one extra step so the stop rule is observed
     return run(
-        build_target(cfg),
+        build_target(plan.config),
         SymmetrizedOnb(),
         plan.coefficients,
-        ConstantWeakening(cfg.t),
+        ConstantWeakening(plan.config.t),
         policy=Scripted(plan.selections),
         max_steps=max_steps,
     )
+
+
+def run_counterexample(cfg: CounterexampleConfig, max_steps: Optional[int] = None) -> Trace:
+    """Build and execute the scripted schedule for cfg."""
+    return run_plan(build_plan(cfg), max_steps)

@@ -35,6 +35,7 @@ from .errors import (
     SupportOutsideEPrimeError,
     UnknownAtomError,
     ZeroAtomError,
+    parse_tagged,
 )
 
 #: slack for the weak selection inequality; the adversarial construction hits
@@ -112,14 +113,61 @@ def basis_atom(index: int, sign: float) -> Atom:
     return Atom(("e", rank, index), SparseVector({index: 1.0 if sign > 0 else -1.0}))
 
 
-def _best(candidates: Iterable[tuple]) -> tuple:
+def _best(candidates: list) -> tuple:
     """The exact largest value, paired with the smallest-id atom that comes
     within WITNESS_BAND of it."""
-    pairs = list(candidates)
-    top = max(value for value, _ in pairs)
-    winner = min((atom for value, atom in pairs if value >= top - WITNESS_BAND),
+    if not candidates:
+        raise EmptyVectorError("sup over a symmetric dictionary needs a nonzero vector")
+    if len(candidates) == 1:
+        return candidates[0]
+    top = max(value for value, _ in candidates)
+    winner = min((atom for value, atom in candidates if value >= top - WITNESS_BAND),
                  key=lambda a: a.id)
     return top, winner
+
+
+def _select(f: SparseVector, head: Sequence[Atom], tail_start: Optional[int]) -> tuple:
+    """sup_inner over the head atoms plus, unless tail_start is None, the signed
+    basis on indices >= tail_start. Ties resolve in two stages: the basis tail
+    picks its own witness first, then _best decides between it and the head."""
+    candidates = [] if f.is_zero() else [(inner(f, a.vector), a) for a in head]
+    if tail_start is not None:
+        tail = f if tail_start == 1 else SparseVector(
+            {i: x for i, x in f.items() if i >= tail_start})
+        if not tail.is_zero():
+            top = max(abs(x) for _, x in tail.items())
+            rank, i = min((0 if x > 0 else 1, i) for i, x in tail.items()
+                          if abs(x) >= top - WITNESS_BAND)
+            candidates.append((top, basis_atom(i, 1.0 if rank == 0 else -1.0)))
+    return _best(candidates)
+
+
+def _well_formed(aid) -> bool:
+    """Does aid have the shape of a basis, dense or direct-sum atom id?"""
+    if not isinstance(aid, tuple) or not aid:
+        return False
+    if aid[0] == "e":
+        return len(aid) == 3 and aid[1] in (0, 1) and isinstance(aid[2], int) and aid[2] >= 1
+    if aid[0] == "y":
+        return len(aid) == 2 and isinstance(aid[1], int) and aid[1] >= 0
+    return (aid[0] == "b" and len(aid) == 3 and isinstance(aid[1], int) and aid[1] >= 1
+            and _well_formed(aid[2]))
+
+
+def _unknown(aid, what: str) -> UnknownAtomError:
+    text = atom_id_str(aid) if _well_formed(aid) else repr(aid)
+    return UnknownAtomError(f"{text} is not {what}")
+
+
+def _realize(aid, head_by_id: dict, tail_start: Optional[int], what: str) -> Atom:
+    """Resolve aid against a materialized head plus a basis tail from tail_start."""
+    if _well_formed(aid):
+        atom = head_by_id.get(aid)
+        if atom is not None:
+            return atom
+        if aid[0] == "e" and tail_start is not None and aid[2] >= tail_start:
+            return basis_atom(aid[2], 1.0 if aid[1] == 0 else -1.0)
+    raise _unknown(aid, what)
 
 
 class Dictionary(ABC):
@@ -136,13 +184,6 @@ class Dictionary(ABC):
     def realize(self, aid: AtomId) -> Atom:
         """Resolve an atom id to its Atom; raises UnknownAtomError."""
 
-    def contains(self, aid: AtomId) -> bool:
-        try:
-            self.realize(aid)
-            return True
-        except UnknownAtomError:
-            return False
-
 
 class SymmetrizedOnb(Dictionary):
     """The symmetrized canonical orthonormal basis {e_i} ∪ {-e_i}, never materialized."""
@@ -150,17 +191,10 @@ class SymmetrizedOnb(Dictionary):
     kind = "symmetrized_onb"
 
     def sup_inner(self, f: SparseVector) -> tuple:
-        if f.is_zero():
-            raise EmptyVectorError("sup over a symmetric dictionary needs a nonzero vector")
-        top = max(abs(x) for _, x in f.items())
-        best_id = min(("e", 0 if x > 0 else 1, i) for i, x in f.items()
-                      if abs(x) >= top - WITNESS_BAND)
-        return top, self.realize(best_id)
+        return _select(f, (), 1)
 
     def realize(self, aid: AtomId) -> Atom:
-        if len(aid) == 3 and aid[0] == "e" and aid[1] in (0, 1) and isinstance(aid[2], int) and aid[2] >= 1:
-            return basis_atom(aid[2], 1.0 if aid[1] == 0 else -1.0)
-        raise UnknownAtomError(f"{atom_id_str(aid)} is not a signed basis atom")
+        return _realize(aid, {}, 1, "a signed basis atom")
 
 
 def _unit_sparse(vector: SparseVector, position: str) -> SparseVector:
@@ -195,19 +229,13 @@ class FiniteDictionary(Dictionary):
                 if not isinstance(i, int):
                     raise ConfigInvalidError("finite dictionary atoms must use plain indices")
         self.atoms = _symmetrize(vectors, "atoms")
+        self._atoms_by_id = {a.id: a for a in self.atoms}
 
     def sup_inner(self, f: SparseVector) -> tuple:
-        if f.is_zero():
-            raise EmptyVectorError("sup over a symmetric dictionary needs a nonzero vector")
-        return _best((inner(f, a.vector), a) for a in self.atoms)
+        return _select(f, self.atoms, None)
 
     def realize(self, aid: AtomId) -> Atom:
-        if len(aid) == 2 and aid[0] == "y" and isinstance(aid[1], int) and 0 <= aid[1] < len(self.atoms):
-            return self.atoms[aid[1]]
-        raise UnknownAtomError(f"{atom_id_str(aid)} is not an atom of this finite dictionary")
-
-    def ambient_dimension(self) -> int:
-        return max(i for a in self.atoms for i in a.vector.support())
+        return _realize(aid, self._atoms_by_id, None, "an atom of this finite dictionary")
 
 
 def make_finite(atoms: Sequence[SparseVector]) -> FiniteDictionary:
@@ -232,21 +260,13 @@ class AugmentedOnb(Dictionary):
                     f"extra[{j}] touches {sorted(outside, key=index_key)} outside E'"
                 )
         self.extras = _symmetrize(extra, "extra")
-        self._onb = SymmetrizedOnb()
+        self._extras_by_id = {a.id: a for a in self.extras}
 
     def sup_inner(self, f: SparseVector) -> tuple:
-        if f.is_zero():
-            raise EmptyVectorError("sup over a symmetric dictionary needs a nonzero vector")
-        candidates = [self._onb.sup_inner(f)]
-        candidates.extend((inner(f, a.vector), a) for a in self.extras)
-        return _best(candidates)
+        return _select(f, self.extras, 1)
 
     def realize(self, aid: AtomId) -> Atom:
-        if aid[0] == "e":
-            return self._onb.realize(aid)
-        if len(aid) == 2 and aid[0] == "y" and isinstance(aid[1], int) and 0 <= aid[1] < len(self.extras):
-            return self.extras[aid[1]]
-        raise UnknownAtomError(f"{atom_id_str(aid)} is not an atom of this augmented basis")
+        return _realize(aid, self._extras_by_id, 1, "an atom of this augmented basis")
 
 
 def make_augmented_onb(extra: Sequence[SparseVector], e_prime: Iterable[int]) -> AugmentedOnb:
@@ -281,15 +301,13 @@ class DirectSumDictionary(Dictionary):
                 continue
             value, atom = comp.sup_inner(fl)
             candidates.append((value, Atom(("b", l, atom.id), _wrap_block(atom.vector, l))))
-        if not candidates:
-            raise EmptyVectorError("sup over a symmetric dictionary needs a nonzero vector")
         return _best(candidates)
 
     def realize(self, aid: AtomId) -> Atom:
-        if len(aid) == 3 and aid[0] == "b" and isinstance(aid[1], int) and 1 <= aid[1] <= len(self.components):
+        if _well_formed(aid) and aid[0] == "b" and aid[1] <= len(self.components):
             atom = self.components[aid[1] - 1].realize(aid[2])
             return Atom(("b", aid[1], atom.id), _wrap_block(atom.vector, aid[1]))
-        raise UnknownAtomError(f"{atom_id_str(aid)} is not an atom of this direct sum")
+        raise _unknown(aid, "an atom of this direct sum")
 
 
 def direct_sum(components: Sequence[Dictionary]) -> DirectSumDictionary:
@@ -341,8 +359,7 @@ class PushforwardDictionary(Dictionary):
                         "matrix range overlaps the untouched basis tail of the base dictionary"
                     )
         elif isinstance(base, AugmentedOnb):
-            head = [SymmetrizedOnb().realize(("e", r, i)) for i in range(1, dim + 1) for r in (0, 1)]
-            head.extend(base.extras)
+            head = [basis_atom(i, s) for i in range(1, dim + 1) for s in (1.0, -1.0)] + base.extras
             self.tail_start = dim + 1
         else:
             raise ConfigInvalidError(
@@ -359,25 +376,12 @@ class PushforwardDictionary(Dictionary):
             Atom(a.id, _from_dense(matrix @ _to_dense(a.vector, dim))) for a in head
         ]
         self._head_by_id = {a.id: a for a in self.head}
-        self._onb = SymmetrizedOnb()
 
     def sup_inner(self, f: SparseVector) -> tuple:
-        if f.is_zero():
-            raise EmptyVectorError("sup over a symmetric dictionary needs a nonzero vector")
-        candidates = [(inner(f, a.vector), a) for a in self.head]
-        if self.tail_start is not None:
-            tail = SparseVector({i: v for i, v in f.items() if i >= self.tail_start})
-            if not tail.is_zero():
-                candidates.append(self._onb.sup_inner(tail))
-        return _best(candidates)
+        return _select(f, self.head, self.tail_start)
 
     def realize(self, aid: AtomId) -> Atom:
-        atom = self._head_by_id.get(aid)
-        if atom is not None:
-            return atom
-        if self.tail_start is not None and aid[0] == "e" and aid[2] >= self.tail_start:
-            return self._onb.realize(aid)
-        raise UnknownAtomError(f"{atom_id_str(aid)} is not an atom of this pushforward")
+        return _realize(aid, self._head_by_id, self.tail_start, "an atom of this pushforward")
 
 
 def pushforward(base: Dictionary, matrix) -> PushforwardDictionary:
@@ -401,7 +405,7 @@ class Scripted:
     """Replay a fixed atom plan, validating admissibility at every step."""
 
     def __init__(self, plan: Sequence):
-        self.plan = [parse_atom_id(a) if isinstance(a, str) else a for a in plan]
+        self.plan = [a if isinstance(a, tuple) else parse_atom_id(a) for a in plan]
 
     def choose(self, step: int, dictionary: Dictionary, f: SparseVector,
                t: float, sup: float, witness: Atom) -> Atom:
@@ -485,31 +489,21 @@ def estimate_coherence(dictionary: Dictionary, samples: int, seed: int) -> Coher
 
 def _vectors_from_config(rows, what: str) -> list:
     try:
-        return [SparseVector.from_pairs((tuple(i) if isinstance(i, list) else i, v) for i, v in row)
-                for row in rows]
+        return [SparseVector.from_json(row) for row in rows]
     except (TypeError, ValueError) as exc:
         raise ConfigInvalidError(f"bad {what} coordinate list: {exc}") from exc
 
 
+_DICTIONARY_BUILDERS = {
+    "symmetrized_onb": lambda spec: make_symmetrized_onb(),
+    "finite": lambda spec: make_finite(_vectors_from_config(spec["atoms"], "atom")),
+    "augmented_onb": lambda spec: make_augmented_onb(
+        _vectors_from_config(spec.get("extra", []), "extra atom"), spec.get("e_prime", [])),
+    "direct_sum": lambda spec: direct_sum([dictionary_from_config(c) for c in spec["components"]]),
+    "pushforward": lambda spec: pushforward(dictionary_from_config(spec["base"]), spec["matrix"]),
+}
+
+
 def dictionary_from_config(spec: dict) -> Dictionary:
     """Build a dictionary from its config-file form: a kind tag plus payload."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigInvalidError("dictionary spec must be an object with a 'kind' tag")
-    kind = spec["kind"]
-    try:
-        if kind == "symmetrized_onb":
-            return make_symmetrized_onb()
-        if kind == "finite":
-            return make_finite(_vectors_from_config(spec["atoms"], "atom"))
-        if kind == "augmented_onb":
-            return make_augmented_onb(
-                _vectors_from_config(spec.get("extra", []), "extra atom"),
-                spec.get("e_prime", []),
-            )
-        if kind == "direct_sum":
-            return direct_sum([dictionary_from_config(c) for c in spec["components"]])
-        if kind == "pushforward":
-            return pushforward(dictionary_from_config(spec["base"]), np.asarray(spec["matrix"], dtype=float))
-    except KeyError as exc:
-        raise ConfigInvalidError(f"dictionary spec for kind={kind!r} is missing {exc}") from exc
-    raise ConfigInvalidError(f"unknown dictionary kind {kind!r}")
+    return parse_tagged(spec, _DICTIONARY_BUILDERS, "dictionary")

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config parser that raises them."""
 
 
 class GreedyExpansionError(Exception):
@@ -43,3 +43,20 @@ class PlanConstructionError(GreedyExpansionError):
 
 class UnknownAtomError(GreedyExpansionError):
     """An atom id does not belong to the dictionary it was resolved against."""
+
+
+def parse_tagged(spec, builders: dict, section: str):
+    """Call the builder that spec's 'kind' tag names with the whole spec; raw
+    KeyError, TypeError and ValueError from it come back as ConfigInvalidError."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigInvalidError(f"{section} spec must be an object with a 'kind' tag")
+    kind = spec["kind"]
+    builder = builders.get(kind) if isinstance(kind, str) else None
+    if builder is None:
+        raise ConfigInvalidError(f"unknown {section} kind {kind!r}")
+    try:
+        return builder(spec)
+    except KeyError as exc:
+        raise ConfigInvalidError(f"{section} spec for kind={kind!r} is missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalidError(f"bad {section} spec: {exc}") from exc

@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import ConfigInvalidError, IndexPastEndError
+from .errors import ConfigInvalidError, IndexPastEndError, parse_tagged
 
 HEURISTIC_NOTE = (
     "divergence/vanishing flags are doubling-checkpoint heuristics over a finite "
@@ -175,35 +175,21 @@ def _explicit_values(spec: dict) -> list:
     raise ConfigInvalidError("explicit sequence spec needs 'values' or 'file'")
 
 
+_COEFFICIENT_BUILDERS = {
+    "harmonic": lambda spec: Harmonic(scale=float(spec.get("scale", 1.0))),
+    "power": lambda spec: Power(alpha=float(spec["alpha"]), scale=float(spec.get("scale", 1.0))),
+    "explicit": lambda spec: Explicit(_explicit_values(spec)),
+}
+
+_WEAKENING_BUILDERS = {
+    "constant_t": lambda spec: ConstantWeakening(t=float(spec["t"])),
+    "explicit": lambda spec: ExplicitWeakening(_explicit_values(spec)),
+}
+
+
 def coefficients_from_config(spec: dict) -> CoefficientSequence:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigInvalidError("coefficient spec must be an object with a 'kind' tag")
-    kind = spec["kind"]
-    try:
-        if kind == "harmonic":
-            return Harmonic(scale=float(spec.get("scale", 1.0)))
-        if kind == "power":
-            return Power(alpha=float(spec["alpha"]), scale=float(spec.get("scale", 1.0)))
-        if kind == "explicit":
-            return Explicit(_explicit_values(spec))
-    except KeyError as exc:
-        raise ConfigInvalidError(f"coefficient spec for kind={kind!r} is missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalidError(f"bad coefficient spec: {exc}") from exc
-    raise ConfigInvalidError(f"unknown coefficient kind {kind!r}")
+    return parse_tagged(spec, _COEFFICIENT_BUILDERS, "coefficient")
 
 
 def weakening_from_config(spec: dict) -> WeakeningSequence:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigInvalidError("weakening spec must be an object with a 'kind' tag")
-    kind = spec["kind"]
-    try:
-        if kind == "constant_t":
-            return ConstantWeakening(t=float(spec["t"]))
-        if kind == "explicit":
-            return ExplicitWeakening(_explicit_values(spec))
-    except KeyError as exc:
-        raise ConfigInvalidError(f"weakening spec for kind={kind!r} is missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalidError(f"bad weakening spec: {exc}") from exc
-    raise ConfigInvalidError(f"unknown weakening kind {kind!r}")
+    return parse_tagged(spec, _WEAKENING_BUILDERS, "weakening")

@@ -49,6 +49,18 @@ def test_run_malformed_dictionary_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("policy", [
+    {"kind": "scripted", "atoms": 5},
+    {"kind": "scripted", "atoms": [5]},
+    {"kind": "scripted", "atoms": [["e", 0, 3]]},
+    {"kind": "max_greedy", "atoms": []},
+])
+def test_run_malformed_policy_exits_1(tmp_path, capsys, policy):
+    path, _ = write_config(tmp_path, policy=policy)
+    assert main(["run", "--config", str(path)]) == 1
+    assert "policy spec" in capsys.readouterr().err
+
+
 def test_run_missing_key_exits_1(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"target": {"inline": [[1, 1.0]]}}))

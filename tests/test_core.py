@@ -113,7 +113,6 @@ def test_block_indices_order_block_first():
 
 def test_block_restriction():
     v = SparseVector({(1, 1): 0.5, (2, 1): 0.7, (2, 3): -0.1})
-    assert v.blocks() == {1, 2}
     assert v.block_restriction(2) == SparseVector({1: 0.7, 3: -0.1})
     assert v.block_restriction(3).is_zero()
 

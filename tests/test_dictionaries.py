@@ -84,6 +84,15 @@ def test_onb_contains_both_signs():
         assert norm(plus.vector) == 1.0
 
 
+@pytest.mark.parametrize("make,aid", [
+    (make_symmetrized_onb, ("e",)),
+    (lambda: make_finite([dense([1, 0])]), ("y",)),
+])
+def test_malformed_atom_id_is_unknown(make, aid):
+    with pytest.raises(UnknownAtomError):
+        make().realize(aid)
+
+
 def test_onb_empty_vector_errors():
     with pytest.raises(EmptyVectorError):
         make_symmetrized_onb().sup_inner(SparseVector())
@@ -240,7 +249,7 @@ def test_direct_sum_symmetry():
     a = d.realize(("b", 1, ("y", 0)))
     neg = d.realize(("b", 1, ("y", 1)))
     assert neg.vector == SparseVector({i: -v for i, v in a.vector.items()})
-    assert d.contains(("b", 2, ("e", 1, 5)))
+    assert d.realize(("b", 2, ("e", 1, 5))).vector == SparseVector({(2, 5): -1.0})
 
 
 def test_direct_sum_against_flattened_finite_oracle():
@@ -392,6 +401,12 @@ def test_dictionary_from_config_all_kinds():
     {"kind": "finite", "atoms": [[["x", 1.0]]]},
     {"atoms": []},
     [],
+    {"kind": "direct_sum", "components": 5},
+    {"kind": "augmented_onb", "e_prime": 3},
+    {"kind": "pushforward", "base": {"kind": "finite", "atoms": [[[1, 1.0]]]},
+     "matrix": [[1.0, 0.0], [0.0]]},
+    {"kind": "pushforward", "base": {"kind": "finite", "atoms": [[[1, 1.0]]]},
+     "matrix": [["one"]]},
 ])
 def test_dictionary_from_config_rejects_malformed(bad):
     with pytest.raises(ConfigInvalidError):
