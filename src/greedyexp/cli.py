@@ -107,7 +107,7 @@ def run_experiment(config_path: str) -> int:
     meta = {
         "config": config,
         "seed": seed,
-        "status": engine.trace_to_json_obj(trace)["status"],
+        "status": trace.status.to_json_obj(),
         "initial_norm": trace.initial_norm,
         "final_residual": trace.final_residual(),
         "steps": len(trace.steps),
@@ -127,8 +127,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    if not 0.0 < args.t < 1.0:
-        return _fail(f"the divergence construction needs t strictly inside (0, 1), got {args.t}")
     try:
         cfg = counterexample.default_config(args.t, args.groups, args.k)
         plan = counterexample.build_plan(cfg)

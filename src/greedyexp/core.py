@@ -65,10 +65,6 @@ class SparseVector:
             entries[index] = float(value)
         return cls(entries)
 
-    @classmethod
-    def basis(cls, index: Index, sign: float = 1.0) -> "SparseVector":
-        return cls({index: sign})
-
     def items(self) -> Iterator[Tuple[Index, float]]:
         return iter(self._entries.items())
 

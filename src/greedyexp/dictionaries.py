@@ -6,6 +6,10 @@ constructed dictionaries are symmetric (closed under negation). Tie-breaking
 is by the smallest atom id under a fixed total order so that traces are
 reproducible bit for bit.
 
+Every dictionary but a direct sum is one description: a materialized `head` of
+atoms plus, unless `tail_start` is None, the untouched signed basis on indices
+>= tail_start.
+
 Atom ids are plain tuples whose natural tuple order is the canonical order:
 
     ("e", sign_rank, i)      signed basis atom, sign_rank 0 for +e_i, 1 for -e_i
@@ -132,14 +136,20 @@ def _select(f: SparseVector, head: Sequence[Atom], tail_start: Optional[int]) ->
     picks its own witness first, then _best decides between it and the head."""
     candidates = [] if f.is_zero() else [(inner(f, a.vector), a) for a in head]
     if tail_start is not None:
-        tail = f if tail_start == 1 else SparseVector(
-            {i: x for i, x in f.items() if i >= tail_start})
-        if not tail.is_zero():
-            top = max(abs(x) for _, x in tail.items())
-            rank, i = min((0 if x > 0 else 1, i) for i, x in tail.items()
+        top = max((abs(x) for _, x in _tail_entries(f, tail_start)), default=None)
+        if top is not None:
+            rank, i = min((0 if x > 0 else 1, i) for i, x in _tail_entries(f, tail_start)
                           if abs(x) >= top - WITNESS_BAND)
             candidates.append((top, basis_atom(i, 1.0 if rank == 0 else -1.0)))
     return _best(candidates)
+
+
+def _tail_entries(f: SparseVector, tail_start: int):
+    """The entries of f on indices >= tail_start, read in place; a tail from 1
+    skips the per-entry filter, as it is the hot loop of every basis run."""
+    if tail_start == 1:
+        return f.items()
+    return ((i, x) for i, x in f.items() if i >= tail_start)
 
 
 def _well_formed(aid) -> bool:
@@ -189,6 +199,8 @@ class SymmetrizedOnb(Dictionary):
     """The symmetrized canonical orthonormal basis {e_i} ∪ {-e_i}, never materialized."""
 
     kind = "symmetrized_onb"
+    head = ()
+    tail_start = 1
 
     def sup_inner(self, f: SparseVector) -> tuple:
         return _select(f, (), 1)
@@ -220,6 +232,7 @@ class FiniteDictionary(Dictionary):
     """Finitely many atoms, symmetrized on construction."""
 
     kind = "finite"
+    tail_start = None
 
     def __init__(self, vectors: Sequence[SparseVector]):
         if not vectors:
@@ -228,7 +241,7 @@ class FiniteDictionary(Dictionary):
             for i in vec.support():
                 if not isinstance(i, int):
                     raise ConfigInvalidError("finite dictionary atoms must use plain indices")
-        self.atoms = _symmetrize(vectors, "atoms")
+        self.atoms = self.head = _symmetrize(vectors, "atoms")
         self._atoms_by_id = {a.id: a for a in self.atoms}
 
     def sup_inner(self, f: SparseVector) -> tuple:
@@ -250,16 +263,17 @@ class AugmentedOnb(Dictionary):
     """Symmetrized basis plus finitely many unit atoms supported inside E'."""
 
     kind = "augmented_onb"
+    tail_start = 1
 
     def __init__(self, extra: Sequence[SparseVector], e_prime: Iterable[int]):
-        self.e_prime = frozenset(e_prime)
+        e_prime = frozenset(e_prime)
         for j, vec in enumerate(extra):
-            outside = [i for i in vec.support() if i not in self.e_prime]
+            outside = [i for i in vec.support() if i not in e_prime]
             if outside:
                 raise SupportOutsideEPrimeError(
                     f"extra[{j}] touches {sorted(outside, key=index_key)} outside E'"
                 )
-        self.extras = _symmetrize(extra, "extra")
+        self.extras = self.head = _symmetrize(extra, "extra")
         self._extras_by_id = {a.id: a for a in self.extras}
 
     def sup_inner(self, f: SparseVector) -> tuple:
@@ -318,7 +332,7 @@ def _check_orthogonal(q: np.ndarray):
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise NotOrthogonalError(f"matrix must be square, got shape {q.shape}")
     dev = float(np.max(np.abs(q.T @ q - np.eye(q.shape[0]))))
-    if dev > _ORTHOGONALITY_TOL:
+    if not dev <= _ORTHOGONALITY_TOL:
         raise NotOrthogonalError(f"Q^T Q deviates from identity by {dev:g} > {_ORTHOGONALITY_TOL:g}")
 
 
@@ -334,11 +348,12 @@ def _from_dense(arr: np.ndarray) -> SparseVector:
 
 
 class PushforwardDictionary(Dictionary):
-    """Image of a dictionary under an orthogonal map on a finite index range.
+    """Image of a dictionary under an orthogonal map Q on the index range 1..dim.
 
-    Supports a finite base (atoms transformed atom by atom, ids preserved) and
-    an augmented basis whose materialized head lies inside the matrix range;
-    basis atoms beyond the range pass through untouched.
+    Any base but a direct sum works, seen as its materialized head plus its
+    untouched signed basis from tail_start on. Basis atoms of that tail inside
+    the range join the head in front of it, and the whole head is mapped by Q
+    with its ids kept. The basis tail beyond the range passes through untouched.
     """
 
     kind = "pushforward"
@@ -346,32 +361,19 @@ class PushforwardDictionary(Dictionary):
     def __init__(self, base: Dictionary, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=float)
         _check_orthogonal(matrix)
-        self.base = base
-        self.matrix = matrix
+        if isinstance(base, DirectSumDictionary):
+            raise ConfigInvalidError("pushforward cannot take a direct sum as its base")
         dim = matrix.shape[0]
-        if isinstance(base, (FiniteDictionary, PushforwardDictionary)):
-            head = base.atoms if isinstance(base, FiniteDictionary) else base.head
-            self.tail_start: Optional[int] = None
-            if isinstance(base, PushforwardDictionary) and base.tail_start is not None:
-                self.tail_start = base.tail_start
-                if dim >= self.tail_start:
-                    raise ConfigInvalidError(
-                        "matrix range overlaps the untouched basis tail of the base dictionary"
-                    )
-        elif isinstance(base, AugmentedOnb):
-            head = [basis_atom(i, s) for i in range(1, dim + 1) for s in (1.0, -1.0)] + base.extras
+        head, self.tail_start = list(base.head), base.tail_start
+        if self.tail_start is not None and self.tail_start <= dim:
+            head[:0] = [basis_atom(i, s) for i in range(self.tail_start, dim + 1)
+                        for s in (1.0, -1.0)]
             self.tail_start = dim + 1
-        else:
-            raise ConfigInvalidError(
-                "pushforward supports finite dictionaries and augmented bases on a finite range"
-            )
         for a in head:
-            if any(i > dim for i in a.vector.support()):
+            if any(not (isinstance(i, int) and i <= dim) for i in a.vector.support()):
                 raise ConfigInvalidError(
                     f"atom {atom_id_str(a.id)} has support outside the {dim}-dimensional matrix range"
                 )
-        if isinstance(base, AugmentedOnb) and any(i > dim for i in base.e_prime):
-            raise ConfigInvalidError("E' must lie inside the matrix range")
         self.head = [
             Atom(a.id, _from_dense(matrix @ _to_dense(a.vector, dim))) for a in head
         ]
@@ -435,13 +437,10 @@ def select(dictionary: Dictionary, f: SparseVector, t: float, policy, step: int 
 
 
 def _finite_atoms(dictionary: Dictionary) -> list:
-    if isinstance(dictionary, FiniteDictionary):
-        return dictionary.atoms
-    if isinstance(dictionary, PushforwardDictionary) and dictionary.tail_start is None:
-        return dictionary.head
-    raise ConfigInvalidError(
-        "operation needs a finite dictionary (or a pushforward of one)"
-    )
+    # a direct sum has neither a head nor a tail_start
+    if getattr(dictionary, "tail_start", 1) is not None:
+        raise ConfigInvalidError("operation needs a finite dictionary (or a pushforward of one)")
+    return dictionary.head
 
 
 def atom_matrix(dictionary: Dictionary) -> np.ndarray:

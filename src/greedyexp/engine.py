@@ -56,6 +56,9 @@ class Status:
     def aborted(cls, step: int, reason: str) -> "Status":
         return cls("aborted", step=step, reason=reason)
 
+    def to_json_obj(self) -> dict:
+        return {"kind": self.kind, "step": self.step, "reason": self.reason}
+
 
 @dataclass
 class Trace:
@@ -137,9 +140,8 @@ def write_trace_csv(trace: Trace, path: str):
             ])
 
 
-def _record_from_row(row: dict, resolver=None) -> StepRecord:
-    aid = parse_atom_id(row["atom"])
-    atom = resolver.realize(aid) if resolver is not None else Atom(aid, SparseVector())
+def _record_from_row(row: dict) -> StepRecord:
+    atom = Atom(parse_atom_id(row["atom"]), SparseVector())
     block = row.get("block") or None
     return StepRecord(
         m=int(row["m"]), atom=atom, c=float(row["c"]), t=float(row["t"]),
@@ -149,16 +151,16 @@ def _record_from_row(row: dict, resolver=None) -> StepRecord:
     )
 
 
-def read_trace_csv(path: str, resolver: Optional[Dictionary] = None) -> Trace:
-    """Load step records from CSV. Atom vectors are realized only when a
-    dictionary is supplied; the initial norm and status are not part of the
-    CSV format and come back as None."""
+def read_trace_csv(path: str) -> Trace:
+    """Load step records from CSV. Atoms come back with their ids and empty
+    vectors; the initial norm and status are not part of the CSV format and
+    come back as None."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_HEADER:
             raise GreedyExpansionError(
                 f"unexpected trace header {reader.fieldnames!r}, want {CSV_HEADER!r}")
-        steps = [_record_from_row(row, resolver) for row in reader]
+        steps = [_record_from_row(row) for row in reader]
     return Trace(steps=steps)
 
 
@@ -166,9 +168,7 @@ def trace_to_json_obj(trace: Trace) -> dict:
     return {
         "initial_norm": trace.initial_norm,
         "max_steps": trace.max_steps,
-        "status": None if trace.status is None else {
-            "kind": trace.status.kind, "step": trace.status.step, "reason": trace.status.reason,
-        },
+        "status": None if trace.status is None else trace.status.to_json_obj(),
         "steps": [{
             "m": r.m, "atom": atom_id_str(r.atom.id), "c": r.c, "t": r.t, "ip": r.ip,
             "sup": r.sup, "residual_norm": r.residual_norm, "block": r.block,
@@ -181,19 +181,19 @@ def write_trace_json(trace: Trace, path: str):
         json.dump(trace_to_json_obj(trace), fh, indent=1)
 
 
-def read_trace_json(path: str, resolver: Optional[Dictionary] = None) -> Trace:
+def read_trace_json(path: str) -> Trace:
     with open(path) as fh:
         obj = json.load(fh)
     status = obj.get("status")
     return Trace(
-        steps=[_record_from_row({k: v for k, v in row.items()}, resolver) for row in obj["steps"]],
+        steps=[_record_from_row(row) for row in obj["steps"]],
         initial_norm=obj.get("initial_norm"),
         status=None if status is None else Status(status["kind"], status["step"], status["reason"]),
         max_steps=obj.get("max_steps"),
     )
 
 
-def read_trace(path: str, resolver: Optional[Dictionary] = None) -> Trace:
+def read_trace(path: str) -> Trace:
     if path.endswith(".json"):
-        return read_trace_json(path, resolver)
-    return read_trace_csv(path, resolver)
+        return read_trace_json(path)
+    return read_trace_csv(path)

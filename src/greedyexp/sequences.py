@@ -22,15 +22,16 @@ HEURISTIC_NOTE = (
 )
 
 
+def _check_step(n: int):
+    if n < 1:
+        raise ConfigInvalidError(f"sequence index must be >= 1, got {n}")
+
+
 class CoefficientSequence(ABC):
     """Evaluator n -> c_n > 0 for n >= 1."""
 
     @abstractmethod
     def eval(self, n: int) -> float: ...
-
-    def _check_step(self, n: int):
-        if n < 1:
-            raise ConfigInvalidError(f"sequence index must be >= 1, got {n}")
 
 
 @dataclass(frozen=True)
@@ -38,11 +39,11 @@ class Harmonic(CoefficientSequence):
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ConfigInvalidError("harmonic scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise ConfigInvalidError(f"harmonic scale must be positive and finite, got {self.scale}")
 
     def eval(self, n: int) -> float:
-        self._check_step(n)
+        _check_step(n)
         return self.scale / n
 
 
@@ -56,25 +57,25 @@ class Power(CoefficientSequence):
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.scale <= 0:
-            raise ConfigInvalidError("power sequence needs alpha > 0 and scale > 0")
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.scale < math.inf):
+            raise ConfigInvalidError("power sequence needs finite alpha > 0 and scale > 0")
 
     def eval(self, n: int) -> float:
-        self._check_step(n)
+        _check_step(n)
         return self.scale * n ** (-self.alpha)
 
 
 class Explicit(CoefficientSequence):
     def __init__(self, values: Sequence[float]):
         self.values = [float(v) for v in values]
-        if any(v <= 0 for v in self.values):
-            raise ConfigInvalidError("explicit coefficients must all be positive")
+        if not all(0.0 < v < math.inf for v in self.values):
+            raise ConfigInvalidError("explicit coefficients must all be positive and finite")
 
     def __len__(self):
         return len(self.values)
 
     def eval(self, n: int) -> float:
-        self._check_step(n)
+        _check_step(n)
         if n > len(self.values):
             raise IndexPastEndError(f"explicit sequence has {len(self.values)} terms, asked for term {n}")
         return self.values[n - 1]
@@ -96,8 +97,7 @@ class ConstantWeakening(WeakeningSequence):
             raise ConfigInvalidError(f"weakening parameter must lie in (0, 1], got {self.t}")
 
     def eval(self, n: int) -> float:
-        if n < 1:
-            raise ConfigInvalidError(f"sequence index must be >= 1, got {n}")
+        _check_step(n)
         return self.t
 
 
@@ -108,8 +108,7 @@ class ExplicitWeakening(WeakeningSequence):
             raise ConfigInvalidError("weakening factors must lie in (0, 1]")
 
     def eval(self, n: int) -> float:
-        if n < 1:
-            raise ConfigInvalidError(f"sequence index must be >= 1, got {n}")
+        _check_step(n)
         if n > len(self.values):
             raise IndexPastEndError(f"explicit sequence has {len(self.values)} terms, asked for term {n}")
         return self.values[n - 1]

@@ -19,6 +19,7 @@ from greedyexp.dictionaries import (
     select,
     spans_ambient,
 )
+from greedyexp.engine import run
 from greedyexp.errors import (
     ConfigInvalidError,
     EmptyVectorError,
@@ -28,6 +29,7 @@ from greedyexp.errors import (
     UnknownAtomError,
     ZeroAtomError,
 )
+from greedyexp.sequences import ConstantWeakening, Harmonic
 
 
 def sv(*pairs):
@@ -303,6 +305,16 @@ def test_pushforward_rejects_non_orthogonal():
         pushforward(d, np.array([[2.0, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("matrix", [
+    [[math.nan, 0.0], [0.0, 1.0]],
+    [[math.nan, math.nan], [math.nan, math.nan]],
+])
+def test_pushforward_rejects_nan_matrix(matrix):
+    d = make_finite([dense([1, 0])])
+    with pytest.raises(NotOrthogonalError):
+        pushforward(d, np.array(matrix))
+
+
 def test_pushforward_isometry_property():
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
@@ -333,6 +345,55 @@ def test_pushforward_of_augmented_range_must_cover_eprime():
     base = make_augmented_onb([y], e_prime={1, 2, 3})
     with pytest.raises(ConfigInvalidError):
         pushforward(base, np.eye(2))
+
+
+def test_pushforward_of_symmetrized_onb_preserves_dynamics():
+    rng = np.random.default_rng(11)
+    d = 4
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    moved = pushforward(make_symmetrized_onb(), q)
+    assert [a.id for a in moved.head] == [("e", r, i) for i in range(1, d + 1) for r in (0, 1)]
+    x = rng.standard_normal(d)
+    tail = {5: 0.3, 7: -0.2}
+    f = SparseVector({**{i + 1: v for i, v in enumerate(x)}, **tail})
+    qf = SparseVector({**{i + 1: v for i, v in enumerate(q @ x)}, **tail})
+    tr_base = run(f, make_symmetrized_onb(), Harmonic(), ConstantWeakening(1.0), max_steps=2000)
+    tr_moved = run(qf, moved, Harmonic(), ConstantWeakening(1.0), max_steps=2000)
+    assert len(tr_base.steps) == len(tr_moved.steps) == 2000
+    assert [r.atom.id for r in tr_base.steps] == [r.atom.id for r in tr_moved.steps]
+    assert {r.atom.id[2] for r in tr_base.steps} >= {1, 5, 7}
+    gap = max(abs(a.residual_norm - b.residual_norm)
+              for a, b in zip(tr_base.steps, tr_moved.steps))
+    assert gap <= 1e-9
+
+
+def test_pushforward_of_pushforward_with_tail_inside_range():
+    r2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+    inner_pd = pushforward(make_symmetrized_onb(), r2)
+    assert inner_pd.tail_start == 3
+    p3 = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])   # e1->e2->e3->e1
+    pd = pushforward(inner_pd, p3)
+    assert pd.tail_start == 4
+    # the in-range tail atoms +-e3 are rotated
+    assert pd.realize(("e", 0, 3)).vector == dense([1, 0, 0])
+    assert pd.realize(("e", 1, 3)).vector == dense([-1, 0, 0])
+    # the base head is rotated again: P3 R2 e1 = P3 e2 = e3
+    assert pd.realize(("e", 0, 1)).vector == dense([0, 0, 1])
+    # the basis beyond the range passes through untouched
+    assert pd.realize(("e", 0, 6)).vector == SparseVector({6: 1.0})
+    value, atom = pd.sup_inner(sv((1, 0.5), (4, -0.9)))
+    assert (value, atom.id) == (0.9, ("e", 1, 4))
+    value, atom = pd.sup_inner(sv((1, 0.5)))
+    assert (value, atom.id) == (0.5, ("e", 0, 3))
+
+
+def test_pushforward_rejects_direct_sum_base():
+    with pytest.raises(ConfigInvalidError):
+        pushforward(direct_sum([make_symmetrized_onb()]), np.eye(2))
+    with pytest.raises(ConfigInvalidError):
+        dictionary_from_config({"kind": "pushforward", "matrix": [[1.0]],
+                                "base": {"kind": "direct_sum",
+                                         "components": [{"kind": "symmetrized_onb"}]}})
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,27 @@ def test_sequences_reject_bad_terms():
         Harmonic().eval(0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Harmonic(math.nan),
+    lambda: Harmonic(math.inf),
+    lambda: Power(alpha=math.inf),
+    lambda: Power(alpha=math.nan),
+    lambda: Power(alpha=0.8, scale=math.inf),
+    lambda: Explicit([math.nan]),
+    lambda: Explicit([0.5, math.inf]),
+])
+def test_sequences_reject_non_finite(build):
+    with pytest.raises(ConfigInvalidError):
+        build()
+
+
+@pytest.mark.parametrize("seq", [Harmonic(), Power(0.8), Explicit([0.5]),
+                                 ConstantWeakening(0.5), ExplicitWeakening([0.5])])
+def test_every_sequence_rejects_step_zero(seq):
+    with pytest.raises(ConfigInvalidError):
+        seq.eval(0)
+
+
 @pytest.mark.parametrize("seq", [Harmonic(), Harmonic(0.3), Power(0.4), Power(0.8, 2.0)])
 def test_positive_and_non_increasing(seq):
     values = [seq.eval(n) for n in range(1, 200)]
