@@ -1,6 +1,6 @@
 """Greedy expansions with prescribed coefficients in real Hilbert spaces."""
 
-from .core import SparseVector, add_scaled, inner, norm, subtract_scaled
+from .core import SparseVector, inner, norm, subtract_scaled
 from .dictionaries import (
     Atom,
     CoherenceEstimate,

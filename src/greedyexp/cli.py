@@ -4,8 +4,8 @@ Configs are JSON documents (schema in the README). Trace CSV is the canonical
 output; metadata JSON echoes the config and records how the run ended so that
 a truncated run is never mistaken for a converged one.
 
-Exit codes: 0 success, 1 bad config or unreadable input, 2 run aborted,
-3 verification failed.
+Exit codes: 0 success, 1 bad config, non-finite input, unreadable input or
+unwritable output, 2 run aborted, 3 verification failed.
 """
 
 from __future__ import annotations
@@ -93,6 +93,7 @@ def run_experiment(config_path: str) -> int:
         policy = _policy_from_config(config.get("policy"))
         max_steps = int(config["max_steps"])
         stop_below = config.get("early_exit_threshold")
+        threshold = None if stop_below is None else float(stop_below)
         outputs = config["outputs"]
         trace_path, meta_path = outputs["trace"], outputs["metadata"]
         seed = _effective_seed(config)
@@ -100,23 +101,25 @@ def run_experiment(config_path: str) -> int:
             GreedyExpansionError) as exc:
         return _fail(f"{config_path}: {exc}")
 
-    trace = engine.run(target, dictionary, coefficients, weakening,
-                       policy=policy, max_steps=max_steps,
-                       stop_below=None if stop_below is None else float(stop_below))
-    engine.write_trace_csv(trace, trace_path)
-    meta = {
-        "config": config,
-        "seed": seed,
-        "status": trace.status.to_json_obj(),
-        "initial_norm": trace.initial_norm,
-        "final_residual": trace.final_residual(),
-        "steps": len(trace.steps),
-        "max_steps": max_steps,
-        "early_exit_threshold": stop_below,
-        "truncation_reason": trace.status.reason,
-    }
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=1)
+    try:
+        trace = engine.run(target, dictionary, coefficients, weakening,
+                           policy=policy, max_steps=max_steps, stop_below=threshold)
+        engine.write_trace_csv(trace, trace_path)
+        meta = {
+            "config": config,
+            "seed": seed,
+            "status": trace.status.to_json_obj(),
+            "initial_norm": trace.initial_norm,
+            "final_residual": trace.final_residual(),
+            "steps": len(trace.steps),
+            "max_steps": max_steps,
+            "early_exit_threshold": stop_below,
+            "truncation_reason": trace.status.reason,
+        }
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh, indent=1)
+    except (OSError, GreedyExpansionError) as exc:
+        return _fail(f"{config_path}: {exc}")
     print(f"{config_path}: {trace.status.kind} after {len(trace.steps)} steps, "
           f"residual {trace.final_residual():.6g} -> {trace_path}")
     return 2 if trace.status.kind == "aborted" else 0
@@ -133,7 +136,6 @@ def cmd_counterexample(args) -> int:
     except GreedyExpansionError as exc:
         return _fail(str(exc))
     trace = counterexample.run_plan(plan)
-    engine.write_trace_csv(trace, args.out)
     norms = trace.residual_norms()
     marks_out = []
     ok = trace.status.kind != "aborted"
@@ -148,8 +150,13 @@ def cmd_counterexample(args) -> int:
         if residual is None or residual < 1.0 - 1e-9:
             ok = False
     marks_path = args.marks or (os.path.splitext(args.out)[0] + ".marks.json")
-    with open(marks_path, "w") as fh:
-        json.dump({"t": cfg.t, "k": cfg.k, "groups": cfg.num_groups, "marks": marks_out}, fh, indent=1)
+    try:
+        engine.write_trace_csv(trace, args.out)
+        with open(marks_path, "w") as fh:
+            json.dump({"t": cfg.t, "k": cfg.k, "groups": cfg.num_groups, "marks": marks_out},
+                      fh, indent=1)
+    except OSError as exc:
+        return _fail(str(exc))
     print(f"t={cfg.t} k={cfg.k} groups={cfg.num_groups}: {len(trace.steps)} steps, "
           f"{sum(1 for m in marks_out if m['residual_at_mark'] is not None)} marks -> {args.out}")
     if not ok:
@@ -189,8 +196,11 @@ def cmd_check(args) -> int:
             return _fail(str(exc))
 
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report.to_json_obj(), fh, indent=1)
+        try:
+            with open(args.report, "w") as fh:
+                json.dump(report.to_json_obj(), fh, indent=1)
+        except OSError as exc:
+            return _fail(str(exc))
     hard_failures = [c for c in report.failed() if c.name != "descent_inequality"]
     for check in report.checks:
         print(f"{'ok  ' if check.passed else 'FAIL'} {check.name}: "
@@ -209,6 +219,8 @@ def cmd_sweep(args) -> int:
     paths = args.configs
     if len(set(paths)) != len(paths):
         return _fail("sweep configs must be distinct")
+    if args.jobs is not None and args.jobs < 1:
+        return _fail(f"--jobs must be >= 1, got {args.jobs}")
     results = {}
     with ProcessPoolExecutor(max_workers=args.jobs) as pool:
         for path, code in zip(paths, pool.map(run_experiment, paths)):

@@ -134,7 +134,3 @@ def subtract_scaled(v: SparseVector, c: float, a: SparseVector) -> SparseVector:
         else:
             entries[i] = new
     return SparseVector(entries)
-
-
-def add_scaled(v: SparseVector, c: float, a: SparseVector) -> SparseVector:
-    return subtract_scaled(v, -c, a)

@@ -1,29 +1,30 @@
 """Constructive divergence example for weakening parameter t < 1 on a symmetrized basis.
 
-The target is a sequence of coordinate groups, group j holding k+j entries all
-equal to t^(k+j). The scripted schedule processes one group at a time:
+The target is a sequence of coordinate groups, group j holding h = k+j entries
+all equal to t^h. The scripted schedule processes one group at a time as a list
+of rounds; a round is one step per component, in index order, each with the
+round's coefficient and the basis atom aligned with the component's sign:
 
-  flip passes   each component is selected with its aligned sign atom and
-                coefficient |v|*(1 + 1/t), which flips its sign and divides its
+  flip passes   coefficient |v|*(1 + 1/t) flips the sign and divides the
                 modulus by t; passes repeat until every modulus lies in
-                [t/sqrt(h), 1/sqrt(h)] for h = k+j;
-  saturation    one step per component lands it on -sign(v)/sqrt(h), after
+                [t/sqrt(h), 1/sqrt(h)];
+  saturation    one round lands every component on -sign(v)/sqrt(h), after
                 which the group alone has norm one;
-  zeroing       one step per component with coefficient 1/sqrt(h) cancels it
-                exactly, emptying the group.
+  zeroing       one round with coefficient 1/sqrt(h) cancels it exactly,
+                emptying the group.
 
 Every selection meets the weak inequality with equality at worst, every
 coefficient in group h stays at or below 2/sqrt(h), and the zeroing steps each
 contribute a coefficient of exactly 1/sqrt(h), so the residual norm returns to
 one infinitely often while the coefficients still vanish and their sum diverges.
 
-Floating point footnote: the builder simulates the engine's arithmetic verbatim
-and nudges the last flip pass and the saturation coefficients by a few ulps so
-that saturation lands bit-exactly on 1/sqrt(h). That makes the zeroing
-coefficients literal floats of 1/sqrt(h) and the cancellations exact. For a few
-(t, h) pairs no such nudge exists (a parity obstruction when the group needs no
-flip passes); those groups zero out exactly all the same, with coefficients
-within a couple of ulps of 1/sqrt(h) and the marks flag cleared.
+Floating point footnote: all components of a group stay equal, so the builder
+simulates one value per group with the engine's own arithmetic, once, and
+nudges the last flip pass and the saturation coefficient by a few ulps so that
+saturation lands bit-exactly on 1/sqrt(h). That makes the zeroing coefficients
+literal floats of 1/sqrt(h) and the cancellations exact. For a few (t, h) pairs
+no such nudge exists; those groups zero out exactly all the same, with
+coefficients within a couple of ulps of 1/sqrt(h) and the marks flag cleared.
 """
 
 from __future__ import annotations
@@ -132,20 +133,20 @@ def flip_passes(t: float, h: int) -> int:
 
 
 def _ulp_candidates(x: float):
-    """x and its neighbors, nearest first: x, x+1ulp, x-1ulp, ..."""
-    yield x
+    """The positive ones among x and its neighbors, nearest first: x, x+1ulp, x-1ulp, ..."""
+    if x > 0.0:
+        yield x
     up = dn = x
     for _ in range(_TUNE_ULPS):
         up = math.nextafter(up, math.inf)
         dn = math.nextafter(dn, -math.inf)
-        yield up
-        yield dn
+        yield from (c for c in (up, dn) if c > 0.0)
 
 
 def _exact_saturation(m: float, q: float) -> Optional[float]:
     """Positive coefficient c with fl(m - c) == -q, if one exists near m + q."""
     for c in _ulp_candidates(m + q):
-        if c > 0.0 and m - c == -q:
+        if m - c == -q:
             return c
     return None
 
@@ -154,110 +155,83 @@ def _nearest_saturation(m: float, q: float) -> float:
     """Fallback: the c whose landing point is closest to -q (ties to smaller c)."""
     best = None
     for c in _ulp_candidates(m + q):
-        if c <= 0.0:
-            continue
         gap = abs((m - c) + q)
         if best is None or gap < best[0] or (gap == best[0] and c < best[1]):
             best = (gap, c)
     return best[1]
 
 
-def _atom(sign: float, i: int) -> tuple:
-    return ("e", 0 if sign > 0 else 1, i)
+def _group_rounds(t: float, h: int):
+    """Rounds of one group of size h as (coefficient, sign) pairs, and whether
+    its zeroing coefficient is bit-exact 1/sqrt(h).
+
+    Every component of the group starts at t^h and receives identical updates,
+    so one value stands for the whole group and is updated with the engine's
+    own expression value - c * sign. The flip passes come first; the last two
+    rounds are saturation and zeroing.
+    """
+    q = 1.0 / math.sqrt(h)
+    passes = flip_passes(t, h)
+    value = t ** h
+    rounds = []
+    for p in range(passes):
+        s = math.copysign(1.0, value)
+        c = abs(value) * (1.0 + 1.0 / t)
+        if p == passes - 1:
+            # Tune the last pass so saturation can land bit-exactly on 1/sqrt(h).
+            c = next((cand for cand in _ulp_candidates(c)
+                      if _exact_saturation(abs(value - cand * s), q) is not None), c)
+        rounds.append((c, s))
+        value = value - c * s
+    modulus = abs(value)
+    lo = t / math.sqrt(h)
+    if not lo - 1e-12 <= modulus <= q + 1e-12:
+        raise PlanConstructionError(
+            f"group h={h}: modulus {modulus:.17g} left the bracket [{lo:.17g}, {q:.17g}]")
+
+    # saturation
+    c = _exact_saturation(modulus, q)
+    exact = c is not None
+    if not exact:
+        c = _nearest_saturation(modulus, q)
+    s = math.copysign(1.0, value)
+    rounds.append((c, s))
+    value = value - c * s
+
+    # zeroing: coefficient equals the current modulus, so cancellation is exact
+    s, c = math.copysign(1.0, value), abs(value)
+    if exact and c != q:
+        raise PlanConstructionError(f"group h={h}: saturation missed 1/sqrt(h)")
+    rounds.append((c, s))
+    value = value - c * s
+    if value != 0.0:
+        raise PlanConstructionError(f"group h={h}: zeroing left {value:.17g}")
+
+    worst, cap = max(c for c, _ in rounds), 2.0 / math.sqrt(h) + 1e-12
+    if worst > cap:
+        raise PlanConstructionError(
+            f"group h={h}: coefficient {worst:.17g} exceeds 2/sqrt(h)={cap:.17g}")
+    return rounds, exact
 
 
 def build_plan(cfg: CounterexampleConfig) -> AdversarialPlan:
     """Coefficients, scripted selections and phase marks for the whole target.
 
-    Simulates the engine's remainder arithmetic expression for expression, so
-    the planned coefficients land the remainder exactly where the plan claims.
+    Each group's rounds are laid over its indices in order, one step per
+    index, selecting the basis atom aligned with the round's sign.
     """
-    t = cfg.t
-    coeffs = []
-    selections = []
-    marks = []
-    step = 0
+    coeffs, selections, marks = [], [], []
     for j, idxs in enumerate(group_ranges(cfg)):
         h = cfg.k + j
-        q = 1.0 / math.sqrt(h)
-        cap = 2.0 / math.sqrt(h) + 1e-12
-        first_step = step + 1
-        passes = flip_passes(t, h)
-        # All components of a group start equal and receive identical updates,
-        # so one simulated value stands for the whole group.
-        value = t ** h
-
-        def flip_coefficient(v: float) -> float:
-            return abs(v) * (1.0 + 1.0 / t)
-
-        # Tune the last pass so saturation can land bit-exactly on 1/sqrt(h).
-        last_flip: Optional[float] = None
-        sat_c: Optional[float] = None
-        if passes > 0:
-            pre_last = value
-            for _ in range(passes - 1):
-                s = math.copysign(1.0, pre_last)
-                pre_last = pre_last - flip_coefficient(pre_last) * s
-            s_last = math.copysign(1.0, pre_last)
-            for cand in _ulp_candidates(flip_coefficient(pre_last)):
-                if cand <= 0.0:
-                    continue
-                landed = pre_last - cand * s_last
-                c_exact = _exact_saturation(abs(landed), q)
-                if c_exact is not None:
-                    last_flip, sat_c = cand, c_exact
-                    break
-        else:
-            sat_c = _exact_saturation(abs(value), q)
-        exact = sat_c is not None
-
-        # flip passes
-        for p in range(passes):
-            s = math.copysign(1.0, value)
-            c = flip_coefficient(value)
-            if p == passes - 1 and last_flip is not None:
-                c = last_flip
+        rounds, exact = _group_rounds(cfg.t, h)
+        first_step = len(selections) + 1
+        for c, s in rounds:
             for i in idxs:
                 coeffs.append(c)
-                selections.append(_atom(s, i))
-            value = value - c * s
-            step += len(idxs)
-        modulus = abs(value)
-        lo, hi = t / math.sqrt(h), 1.0 / math.sqrt(h)
-        if not lo - 1e-12 <= modulus <= hi + 1e-12:
-            raise PlanConstructionError(
-                f"group h={h}: modulus {modulus:.17g} left the bracket [{lo:.17g}, {hi:.17g}]")
-
-        # saturation
-        s = math.copysign(1.0, value)
-        c = sat_c if sat_c is not None else _nearest_saturation(modulus, q)
-        for i in idxs:
-            coeffs.append(c)
-            selections.append(_atom(s, i))
-        value = value - c * s
-        step += len(idxs)
-        subnorm_one_step = step
-
-        # zeroing: coefficient equals the current modulus, so cancellation is exact
-        s = math.copysign(1.0, value)
-        c = abs(value)
-        if exact and c != q:
-            raise PlanConstructionError(f"group h={h}: saturation missed 1/sqrt(h)")
-        for i in idxs:
-            coeffs.append(c)
-            selections.append(_atom(s, i))
-        value = value - c * s
-        step += len(idxs)
-        if value != 0.0:
-            raise PlanConstructionError(f"group h={h}: zeroing left {value:.17g}")
-
-        group_coeffs = coeffs[first_step - 1:step]
-        worst = max(group_coeffs)
-        if worst > cap:
-            raise PlanConstructionError(
-                f"group h={h}: coefficient {worst:.17g} exceeds 2/sqrt(h)={cap:.17g}")
-        marks.append(GroupMarks(j, h, first_step, subnorm_one_step, step, exact))
-
+                selections.append(("e", 0 if s > 0 else 1, i))
+        # the last round zeroes the group; the one before saturates it
+        marks.append(GroupMarks(j, h, first_step, len(selections) - len(idxs),
+                                len(selections), exact))
     return AdversarialPlan(cfg, Explicit(coeffs), selections, marks)
 
 

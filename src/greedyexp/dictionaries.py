@@ -211,6 +211,8 @@ class SymmetrizedOnb(Dictionary):
 
 def _unit_sparse(vector: SparseVector, position: str) -> SparseVector:
     n = vector.norm()
+    if not math.isfinite(n):
+        raise ConfigInvalidError(f"{position}: atom norm {n} is not finite")
     if n < _ATOM_NORM_FLOOR:
         raise ZeroAtomError(f"{position}: atom norm {n:g} is below {_ATOM_NORM_FLOOR:g}")
     if n == 1.0:

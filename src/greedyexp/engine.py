@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -82,13 +83,18 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
     exactly empty. stop_below is a budget device: once the recorded residual
     norm falls strictly below it the run ends as Exhausted with a reason, never
     as Stopped. Scripted-plan violations and exhausted explicit sequences end
-    the run as Aborted.
+    the run as Aborted. A target whose norm is not finite and a NaN stop_below
+    raise ConfigInvalidError.
     """
     if max_steps < 0:
         raise ConfigInvalidError("max_steps must be >= 0")
+    if stop_below is not None and math.isnan(stop_below):
+        raise ConfigInvalidError("stop_below must not be NaN")
     policy = policy if policy is not None else MaxGreedy()
     remainder = f
     trace = Trace(initial_norm=norm(f), max_steps=max_steps)
+    if not math.isfinite(trace.initial_norm):
+        raise ConfigInvalidError(f"target norm must be finite, got {trace.initial_norm}")
     for m in range(1, max_steps + 1):
         if remainder.is_zero():
             trace.status = Status.stopped(m)

@@ -67,6 +67,28 @@ def test_run_missing_key_exits_1(tmp_path):
     assert main(["run", "--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize("overrides", [
+    {"target": {"inline": [[1, math.nan], [2, 0.5]]}},
+    {"target": {"inline": [[1, math.inf]]}},
+    {"early_exit_threshold": math.nan},
+    {"dictionary": {"kind": "finite", "atoms": [[[1, math.nan]]]}},
+], ids=["nan_target", "inf_target", "nan_threshold", "nan_atom"])
+def test_run_non_finite_input_exits_1(tmp_path, capsys, overrides):
+    path, config = write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "config.json.trace.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["trace", "metadata"])
+def test_run_unwritable_output_exits_1(tmp_path, capsys, key):
+    outputs = {"trace": str(tmp_path / "t.csv"), "metadata": str(tmp_path / "m.json")}
+    outputs[key] = str(tmp_path / "missing" / "out")
+    path, _ = write_config(tmp_path, outputs=outputs)
+    assert main(["run", "--config", str(path)]) == 1
+    assert "No such file or directory" in capsys.readouterr().err
+
+
 def test_run_inadmissible_scripted_plan_exits_2(tmp_path):
     path, config = write_config(
         tmp_path,
@@ -226,6 +248,23 @@ def test_counterexample_rejects_t_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--out", "--marks"])
+def test_counterexample_unwritable_output_exits_1(tmp_path, capsys, flag):
+    paths = {"--out": str(tmp_path / "ce.csv"), "--marks": str(tmp_path / "ce.marks.json")}
+    paths[flag] = str(tmp_path / "missing" / "out")
+    argv = ["counterexample", "--t", "0.5", "--groups", "2"]
+    assert main(argv + [arg for pair in paths.items() for arg in pair]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_check_unwritable_report_exits_1(tmp_path, capsys):
+    path, config = write_config(tmp_path)
+    assert main(["run", "--config", str(path)]) == 0
+    assert main(["check", "--trace", config["outputs"]["trace"],
+                 "--report", str(tmp_path / "missing" / "report.json")]) == 1
+    assert "error: " in capsys.readouterr().err
+
+
 def test_counterexample_higher_t(tmp_path):
     out = tmp_path / "ce9.csv"
     assert main(["counterexample", "--t", "0.9", "--groups", "3", "--out", str(out)]) == 0
@@ -247,3 +286,11 @@ def test_sweep_propagates_failure(tmp_path):
     good, _ = write_config(tmp_path, name="good.json")
     bad, _ = write_config(tmp_path, name="bad.json", dictionary={"kind": "nope"})
     assert main(["sweep", "--config", str(good), "--config", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    path, config = write_config(tmp_path)
+    assert main(["sweep", "--config", str(path), "--jobs", jobs]) == 1
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "config.json.trace.csv").exists()

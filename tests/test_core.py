@@ -5,7 +5,6 @@ import pytest
 
 from greedyexp.core import (
     SparseVector,
-    add_scaled,
     index_key,
     inner,
     norm,
@@ -122,12 +121,6 @@ def test_json_round_trip_with_blocks():
     data = v.to_pairs()
     assert data == [[1, 0.125], [2, -1.25], [[1, 3], 0.5]]
     assert SparseVector.from_json(data) == v
-
-
-def test_add_scaled_inverts_subtract():
-    v = SparseVector({1: 0.3, 4: -0.2})
-    a = e(4)
-    assert add_scaled(subtract_scaled(v, 0.125, a), 0.125, a) == v
 
 
 def test_immutability():

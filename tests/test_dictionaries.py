@@ -139,6 +139,12 @@ def test_finite_rejects_zero_atom():
         make_finite([])
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_finite_rejects_non_finite_atom(value):
+    with pytest.raises(ConfigInvalidError, match="not finite"):
+        make_finite([SparseVector({1: value, 2: 0.5})])
+
+
 def test_finite_renormalizes_on_ingest():
     d = make_finite([dense([3, 4])])
     assert norm(d.atoms[0].vector) == pytest.approx(1.0, abs=1e-12)

@@ -131,6 +131,17 @@ def test_early_exit_recorded_as_exhausted_with_reason():
     assert len(trace.steps) == 1 and trace.steps[0].residual_norm == 0.25
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_run_rejects_non_finite_target(value):
+    with pytest.raises(ConfigInvalidError, match="target norm must be finite"):
+        run(SparseVector({1: value, 2: 0.5}), ONB, Harmonic(), T1, max_steps=5)
+
+
+def test_run_rejects_nan_stop_below():
+    with pytest.raises(ConfigInvalidError, match="NaN"):
+        run(dense([1]), ONB, Harmonic(), T1, max_steps=5, stop_below=math.nan)
+
+
 def test_determinism_bit_identical_csv(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_trace_csv(random_run(4), str(p1))

@@ -1,12 +1,18 @@
-"""Golden traces: seeded runs whose trace CSV bytes and final status are pinned.
+"""Golden traces and plans: seeded runs whose trace CSV bytes and final status
+are pinned, and counterexample plans pinned bit for bit.
 
-Each case builds its inputs from a seeded ``random.Random`` (whose ``random()``
-stream is reproducible across Python versions) and runs through the CLI, so
-config parsing, selection and serialization are all covered. The expected
-SHA-256 of every trace CSV and the final status live in
+Each trace case builds its inputs from a seeded ``random.Random`` (whose
+``random()`` stream is reproducible across Python versions) and runs through
+the CLI, so config parsing, selection and serialization are all covered. The
+expected SHA-256 of every trace CSV and the final status live in
 ``tests/golden/traces.json``; a refactor that changes a single byte fails here.
 
-Regenerate the pins only for an intended change of trace bytes:
+``tests/golden/plans.json`` pins ``build_plan`` at 30 groups for a grid of t:
+the SHA-256 over every coefficient's ``float.hex``, every selection and every
+group's marks, plus the step count and the number of groups whose zeroing
+coefficient is not bit-exact 1/sqrt(h).
+
+Regenerate the pins only for an intended change of trace bytes or plans:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -21,10 +27,13 @@ import sys
 import pytest
 
 from greedyexp.cli import main
-from greedyexp.counterexample import default_config, run_counterexample
+from greedyexp.counterexample import build_plan, default_config, run_counterexample
 from greedyexp.engine import trace_to_json_obj, write_trace_csv
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "traces.json")
+PLANS_PATH = os.path.join(os.path.dirname(__file__), "golden", "plans.json")
+PLAN_GROUPS = 30
+PLAN_TS = [i / 100 for i in range(5, 100, 5)] + [0.48, 0.49, 0.51, 0.52]
 
 
 def _dense_row(rng, dim):
@@ -137,8 +146,8 @@ def _digest(path):
 def produce(name, workdir):
     """(sha256 of the trace CSV, [kind, step, reason]) for one golden case."""
     trace_path = os.path.join(workdir, f"{name}.csv")
-    if name == "counterexample_6_groups":
-        trace = run_counterexample(default_config(0.5, 6))
+    if name in COUNTEREXAMPLE_GROUPS:
+        trace = run_counterexample(default_config(0.5, COUNTEREXAMPLE_GROUPS[name]))
         write_trace_csv(trace, trace_path)
         status = trace_to_json_obj(trace)["status"]
     else:
@@ -154,11 +163,24 @@ def produce(name, workdir):
     return _digest(trace_path), [status["kind"], status["step"], status["reason"]]
 
 
-CASES = sorted(run_configs()) + ["counterexample_6_groups"]
+COUNTEREXAMPLE_GROUPS = {"counterexample_6_groups": 6, "counterexample_20_groups": 20}
+CASES = sorted(run_configs()) + sorted(COUNTEREXAMPLE_GROUPS)
 
 
-def _pinned():
-    with open(GOLDEN_PATH) as fh:
+def plan_pin(t):
+    """{"sha256", "steps", "inexact_groups"} of build_plan at PLAN_GROUPS groups."""
+    plan = build_plan(default_config(t, PLAN_GROUPS))
+    doc = {"coefficients": [c.hex() for c in plan.coefficients.values],
+           "selections": [list(atom) for atom in plan.selections],
+           "marks": [[m.group, m.h, m.first_step, m.subnorm_one_step, m.zeroed_step,
+                      m.unit_coefficient_exact] for m in plan.marks]}
+    digest = hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+    return {"sha256": digest, "steps": len(plan),
+            "inexact_groups": sum(not m.unit_coefficient_exact for m in plan.marks)}
+
+
+def _pinned(path=GOLDEN_PATH):
+    with open(path) as fh:
         return json.load(fh)
 
 
@@ -174,6 +196,21 @@ def test_golden_trace_bytes(name, tmp_path, capsys):
     assert digest == expected["sha256"]
 
 
+def test_plan_pins_cover_the_grid():
+    assert sorted(_pinned(PLANS_PATH)) == sorted(repr(t) for t in PLAN_TS)
+
+
+@pytest.mark.parametrize("t", PLAN_TS)
+def test_golden_plan(t):
+    assert plan_pin(t) == _pinned(PLANS_PATH)[repr(t)]
+
+
+def _write_pins(path, pins):
+    with open(path, "w") as fh:
+        fh.write("{\n" + ",\n".join(f" {json.dumps(key)}: {json.dumps(pins[key])}"
+                                    for key in sorted(pins)) + "\n}\n")
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -183,7 +220,7 @@ if __name__ == "__main__":
             digest, status = produce(case, tmp)
             pins[case] = {"sha256": digest, "status": status}
             print(f"{case}: {status} {digest}", file=sys.stderr)
+    plans = {repr(t): plan_pin(t) for t in PLAN_TS}
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-    with open(GOLDEN_PATH, "w") as fh:
-        fh.write("{\n" + ",\n".join(f" {json.dumps(case)}: {json.dumps(pins[case])}"
-                                    for case in sorted(pins)) + "\n}\n")
+    _write_pins(GOLDEN_PATH, pins)
+    _write_pins(PLANS_PATH, plans)
