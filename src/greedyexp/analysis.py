@@ -1,7 +1,8 @@
 """Post-hoc verification of traces: the identities a sound run must satisfy.
 
 All checks are pure functions of the trace; a report always carries the worst
-observed violation, also on pass, so near-misses are visible.
+observed violation, also on pass, so near-misses are visible. A NaN violation
+is the worst of all: the check fails and reports the step of the first one.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def verify_energy_identity(trace: Trace, tol: float = 1e-10) -> VerificationRepo
     worst, at, count = 0.0, None, 0
     for m, violation in _energy_residuals(trace):
         count += 1
-        if violation > worst:
+        # a NaN fails `violation <= worst`; once worst is NaN, it stays
+        if not violation <= worst and worst == worst:
             worst, at = violation, m
     return VerificationReport([CheckResult("energy_identity", worst <= tol, worst, at, count)])
 
@@ -83,7 +85,7 @@ def verify_greedy_condition(trace: Trace, tol: float = 1e-12) -> VerificationRep
     worst, at = 0.0, None
     for r in trace.steps:
         violation = r.t * r.sup - r.ip
-        if violation > worst:
+        if not violation <= worst and worst == worst:
             worst, at = violation, r.m
     return VerificationReport([CheckResult(
         "greedy_condition", worst <= tol, worst, at, len(trace.steps))])
@@ -114,7 +116,7 @@ def verify_descent_inequality(trace: Trace, c_est: CoherenceEstimate, epsilon: f
             if prev is not None and prev >= threshold:
                 applicable += 1
                 violation = r.residual_norm ** 2 - (prev ** 2 - r.c * r.t * epsilon)
-                if violation > worst:
+                if not violation <= worst and worst == worst:
                     worst, at = violation, r.m
         prev = r.residual_norm
     if seen == 0:

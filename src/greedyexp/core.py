@@ -4,14 +4,36 @@ Coordinates live on a canonical orthonormal basis indexed either by positive
 integers or, inside a direct sum, by (block, inner) pairs. Entries that become
 exactly 0.0 are dropped, so deliberate annihilation empties the support; no
 tolerance is ever applied when canonicalizing.
+
+A remainder step v - c*a costs O(|support of a| * log n) plus one C-level copy
+of v's entry dict, because the result inherits two caches from v and updates
+them on a's coordinates only:
+
+- the exact sum of the squares fl(x*x), an int in units of 2**-1074. Every
+  finite square is such a multiple, and int / int rounds correctly, just as
+  ``math.fsum`` does, so ``norm()`` is bit-identical to the fsum of the
+  squares. A non-finite square drops the cache and norm() falls back to fsum;
+- a lazy max-heap of (-|x|, i) over the indices from some start on, from which
+  ``tail_peak`` reads the largest magnitude and the entries near it. Nodes
+  whose entry has changed stay in the heap until they surface. The heap is
+  handed over, not copied: v drops it and rebuilds it if it is queried again.
+
+Both caches are invisible: vectors stay immutable and compare by entries only.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Iterable, Iterator, Tuple, Union
 
 Index = Union[int, Tuple[int, int]]
+
+# the square sum is kept in units of the smallest subnormal, 2**-1074
+_UNIT = 1 << 1074
+# below 2**1023 the square sum cannot overflow a float; above it, norm() leaves
+# the rounding and any OverflowError to fsum
+_SQUARE_SUM_LIMIT = 1 << (1074 + 1023)
 
 
 def validate_index(index: Index) -> Index:
@@ -38,7 +60,7 @@ def index_key(index: Index) -> Tuple[int, int, int]:
 class SparseVector:
     """Immutable finitely-supported vector; stored entries are never exactly zero."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_square_sum", "_heap")
 
     def __init__(self, entries: dict | None = None):
         clean = {}
@@ -48,7 +70,20 @@ class SparseVector:
                 value = float(value)
                 if value != 0.0:
                     clean[index] = value
-        object.__setattr__(self, "_entries", clean)
+        _set_entries(self, clean)
+        _set_square_sum(self, None)
+        _set_heap(self, None)
+
+    @classmethod
+    def _trusted(cls, entries: dict, square_sum=None, heap=None) -> "SparseVector":
+        """Package-internal constructor for entries that already satisfy the
+        invariant: validated indices and nonzero float values. The dict is
+        adopted, not copied."""
+        v = object.__new__(cls)
+        _set_entries(v, entries)
+        _set_square_sum(v, square_sum)
+        _set_heap(v, heap)
+        return v
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseVector is immutable")
@@ -81,11 +116,14 @@ class SparseVector:
         return not self._entries
 
     def norm(self) -> float:
+        total = self._square_sum
+        if total is not None and total < _SQUARE_SUM_LIMIT:
+            return math.sqrt(total / _UNIT)
         return math.sqrt(math.fsum(v * v for v in self._entries.values()))
 
     def block_restriction(self, block: int) -> "SparseVector":
         """Component of a block-indexed vector, re-expressed on plain inner indices."""
-        return SparseVector(
+        return SparseVector._trusted(
             {i[1]: v for i, v in self._entries.items() if isinstance(i, tuple) and i[0] == block}
         )
 
@@ -112,6 +150,12 @@ class SparseVector:
         return f"SparseVector({{{inside}}})"
 
 
+# the slot setters, which bypass the immutability guard in __setattr__
+_set_entries = SparseVector.__dict__["_entries"].__set__
+_set_square_sum = SparseVector.__dict__["_square_sum"].__set__
+_set_heap = SparseVector.__dict__["_heap"].__set__
+
+
 def inner(u: SparseVector, v: SparseVector) -> float:
     """Inner product over the shared support."""
     a, b = u._entries, v._entries
@@ -124,13 +168,100 @@ def norm(v: SparseVector) -> float:
     return v.norm()
 
 
+def _units(square: float) -> int:
+    """A finite square as an exact int multiple of 2**-1074; raises
+    OverflowError (inf) or ValueError (NaN) otherwise."""
+    n, d = square.as_integer_ratio()
+    return n << (1075 - d.bit_length())
+
+
+def _exact_square_sum(v: SparseVector):
+    """v's exact square sum in units of 2**-1074, computed once and cached;
+    None when some square is not finite."""
+    total = v._square_sum
+    if total is None:
+        try:
+            total = sum(_units(x * x) for x in v._entries.values())
+        except (OverflowError, ValueError):
+            return None
+        _set_square_sum(v, total)
+    return total
+
+
 def subtract_scaled(v: SparseVector, c: float, a: SparseVector) -> SparseVector:
-    """v - c*a, re-canonicalized: entries that cancel exactly are removed."""
+    """v - c*a, re-canonicalized: entries that cancel exactly are removed.
+
+    The result carries v's square sum, updated on a's coordinates, and takes
+    over v's magnitude heap with a node pushed for every changed tail entry."""
+    c = float(c)
     entries = dict(v._entries)
+    total = _exact_square_sum(v)
+    heap = v._heap
+    if heap is not None:
+        _set_heap(v, None)
+        start, nodes = heap
     for i, x in a._entries.items():
-        new = entries.get(i, 0.0) - c * x
+        old = entries.get(i, 0.0)
+        new = old - c * x
         if new == 0.0:
             entries.pop(i, None)
         else:
             entries[i] = new
-    return SparseVector(entries)
+            if heap is not None and (start == 1 or i >= start):
+                heapq.heappush(nodes, (-abs(new), i))
+        if total is not None:
+            try:
+                total += _units(new * new) - _units(old * old)
+            except (OverflowError, ValueError):
+                total = None
+    return SparseVector._trusted(entries, total, heap)
+
+
+def _magnitude_heap(v: SparseVector, start: int) -> list:
+    """v's heap of (-|x|, i) over the indices >= start, rebuilt when v has
+    none, has one for another start, or has one that is mostly stale nodes."""
+    heap = v._heap
+    if heap is None or heap[0] != start or len(heap[1]) > 2 * len(v._entries) + 16:
+        items = v._entries.items()
+        if start != 1:
+            items = ((i, x) for i, x in items if i >= start)
+        heap = (start, [(-abs(x), i) for i, x in items])
+        heapq.heapify(heap[1])
+        _set_heap(v, heap)
+    return heap[1]
+
+
+def tail_peak(v: SparseVector, start: int, band: float):
+    """Over v's entries on indices >= start: the largest magnitude top and
+    every (i, x) with |x| >= top - band, in no particular order; None when
+    there is no such entry.
+
+    Reads v's magnitude heap: stale nodes are dropped from the root until it
+    holds a current entry, then only the nodes whose magnitude reaches
+    top - band are visited: a node below that bounds its whole subtree."""
+    nodes = _magnitude_heap(v, start)
+    entries = v._entries
+    while nodes:
+        neg, i = nodes[0]
+        x = entries.get(i)
+        if x is not None and abs(x) == -neg:
+            break
+        heapq.heappop(nodes)
+    else:
+        return None
+    top = -nodes[0][0]
+    floor = top - band
+    near, stack, size = [], [0], len(nodes)
+    while stack:
+        k = stack.pop()
+        neg, i = nodes[k]
+        if -neg >= floor:
+            x = entries.get(i)
+            if x is not None and abs(x) == -neg:
+                near.append((i, x))
+            k = 2 * k + 1
+            if k < size:
+                stack.append(k)
+                if k + 1 < size:
+                    stack.append(k + 1)
+    return top, near

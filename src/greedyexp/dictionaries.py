@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import SparseVector, index_key, inner
+from .core import SparseVector, index_key, inner, tail_peak
 from .errors import (
     ConfigInvalidError,
     EmptyVectorError,
@@ -133,23 +133,17 @@ def _best(candidates: list) -> tuple:
 def _select(f: SparseVector, head: Sequence[Atom], tail_start: Optional[int]) -> tuple:
     """sup_inner over the head atoms plus, unless tail_start is None, the signed
     basis on indices >= tail_start. Ties resolve in two stages: the basis tail
-    picks its own witness first, then _best decides between it and the head."""
+    picks its own witness first, then _best decides between it and the head.
+    The tail's exact max and the entries within WITNESS_BAND of it come from
+    f's magnitude heap, so a step on a basis tail scans no remainder."""
     candidates = [] if f.is_zero() else [(inner(f, a.vector), a) for a in head]
     if tail_start is not None:
-        top = max((abs(x) for _, x in _tail_entries(f, tail_start)), default=None)
-        if top is not None:
-            rank, i = min((0 if x > 0 else 1, i) for i, x in _tail_entries(f, tail_start)
-                          if abs(x) >= top - WITNESS_BAND)
+        peak = tail_peak(f, tail_start, WITNESS_BAND)
+        if peak is not None:
+            top, near = peak
+            rank, i = min((0 if x > 0 else 1, i) for i, x in near)
             candidates.append((top, basis_atom(i, 1.0 if rank == 0 else -1.0)))
     return _best(candidates)
-
-
-def _tail_entries(f: SparseVector, tail_start: int):
-    """The entries of f on indices >= tail_start, read in place; a tail from 1
-    skips the per-entry filter, as it is the hot loop of every basis run."""
-    if tail_start == 1:
-        return f.items()
-    return ((i, x) for i, x in f.items() if i >= tail_start)
 
 
 def _well_formed(aid) -> bool:
@@ -226,7 +220,8 @@ def _symmetrize(vectors: Sequence[SparseVector], positions: str) -> list:
     for j, vec in enumerate(vectors):
         unit = _unit_sparse(vec, f"{positions}[{j}]")
         atoms.append(Atom(("y", 2 * j), unit))
-        atoms.append(Atom(("y", 2 * j + 1), SparseVector({i: -v for i, v in unit.items()})))
+        atoms.append(Atom(("y", 2 * j + 1),
+                          SparseVector._trusted({i: -v for i, v in unit.items()})))
     return atoms
 
 
@@ -290,7 +285,7 @@ def make_augmented_onb(extra: Sequence[SparseVector], e_prime: Iterable[int]) ->
 
 
 def _wrap_block(vec: SparseVector, block: int) -> SparseVector:
-    return SparseVector({(block, i): v for i, v in vec.items()})
+    return SparseVector._trusted({(block, i): v for i, v in vec.items()})
 
 
 class DirectSumDictionary(Dictionary):
@@ -346,7 +341,7 @@ def _to_dense(vec: SparseVector, dim: int) -> np.ndarray:
 
 
 def _from_dense(arr: np.ndarray) -> SparseVector:
-    return SparseVector({i + 1: float(v) for i, v in enumerate(arr) if v != 0.0})
+    return SparseVector._trusted({i + 1: float(v) for i, v in enumerate(arr) if v != 0.0})
 
 
 class PushforwardDictionary(Dictionary):

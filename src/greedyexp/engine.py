@@ -4,6 +4,13 @@ Each step selects an admissible atom, subtracts c_m times it from the remainder
 and records what happened. The stop rule fires only on an exactly empty
 remainder; budget truncation and early exits are recorded as Exhausted so that
 analysis never mistakes them for convergence.
+
+Every remainder is a new immutable vector, so a policy may keep the ones it is
+handed. On a basis tail a step still costs only O(|atom support| * log n) plus
+one C-level dict copy: ``subtract_scaled`` passes the remainder's exact square
+sum and its magnitude heap on to the next remainder (see ``core``), so the sup
+and the recorded residual norm, bit-identical to an fsum over all entries, need
+no pass over the support.
 """
 
 from __future__ import annotations

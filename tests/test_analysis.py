@@ -84,6 +84,36 @@ def test_greedy_condition_detects_forged_step():
     assert report.checks[0].worst_violation == pytest.approx(0.1, rel=1e-12)
 
 
+def _with_nan(trace, field_at):
+    """trace with the named StepRecord fields of the given steps set to NaN."""
+    steps = [dataclasses.replace(r, **{name: math.nan for name, m in field_at if m == r.m})
+             for r in trace.steps]
+    return Trace(steps, initial_norm=trace.initial_norm, status=trace.status)
+
+
+def test_nan_in_trace_fails_at_first_nan_step():
+    """A NaN compares False against every bound, so it used to be skipped as
+    no violation at all; it must fail and name the step of the first NaN."""
+    trace = _with_nan(run_counterexample(default_config(0.5, 2)),
+                      [("residual_norm", 5), ("ip", 6), ("ip", 9)])
+    energy = verify_energy_identity(trace).checks[0]
+    greedy = verify_greedy_condition(trace).checks[0]
+    assert (energy.passed, energy.step) == (False, 5) and math.isnan(energy.worst_violation)
+    assert (greedy.passed, greedy.step) == (False, 6) and math.isnan(greedy.worst_violation)
+    assert energy.applicable_steps == len(trace.steps)
+
+
+def test_nan_in_trace_fails_descent_inequality():
+    target = dense([5.0, -3.0, 4.0])
+    dictionary = make_finite([dense([1, 0, 0]), dense([0, 1, 0]), dense([0, 0, 1])])
+    trace = run(target, dictionary, Harmonic(), T1, max_steps=300)
+    c = CoherenceEstimate(1 / math.sqrt(3), samples=1, seed=0)
+    assert verify_descent_inequality(trace, c, epsilon=0.2, from_step=6).all_passed
+    check = verify_descent_inequality(_with_nan(trace, [("residual_norm", 20)]), c,
+                                      epsilon=0.2, from_step=6).checks[0]
+    assert (check.passed, check.step) == (False, 20)
+
+
 def test_descent_inequality_analytic_constant():
     """For {+-e_i} in R^d the coherence constant is exactly 1/sqrt(d): the sup
     over signed basis atoms is max|f_i| >= ||f||/sqrt(d)."""

@@ -183,6 +183,20 @@ def test_check_tampered_trace_exits_3(tmp_path, capsys):
     assert "energy_identity" in capsys.readouterr().err
 
 
+def test_check_trace_with_nan_exits_3(tmp_path, capsys):
+    trace_path = str(tmp_path / "ce.csv")
+    assert main(["counterexample", "--t", "0.5", "--groups", "2", "--out", trace_path]) == 0
+    with open(trace_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[5][6] = "nan"   # residual_norm of step 5
+    rows[6][4] = "nan"   # ip of step 6
+    with open(trace_path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["check", "--trace", trace_path]) == 3
+    err = capsys.readouterr().err
+    assert "energy_identity" in err and "greedy_condition" in err
+
+
 def test_check_unreadable_trace_exits_1(tmp_path):
     bad = tmp_path / "junk.csv"
     bad.write_text("not,a,trace\n1,2,3\n")

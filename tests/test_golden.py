@@ -79,8 +79,51 @@ def _t(value):
     return {"kind": "constant_t", "t": value}
 
 
+def _tied_target(rng, size):
+    """Runs of equal dyadic magnitudes k/64 with mixed signs, interleaved with
+    pairs whose magnitudes lie 1e-13 apart (inside WITNESS_BAND), over
+    1..size. Steps of exactly 1/64 keep the runs tied as they descend."""
+    values = []
+    while len(values) < size:
+        magnitude = rng.randint(8, 64) / 64
+        if rng.random() < 0.6:
+            values.extend(magnitude * rng.choice((1.0, -1.0))
+                          for _ in range(rng.randint(2, 7)))
+        else:
+            values.extend((magnitude * rng.choice((1.0, -1.0)),
+                           (magnitude + 1e-13) * rng.choice((1.0, -1.0))))
+    rng.shuffle(values)
+    return {"inline": [[i, v] for i, v in enumerate(values[:size], start=1)]}
+
+
+def _flat_target(rng, size):
+    return {"inline": [[i, rng.uniform(0.5, 1.0) * rng.choice((1.0, -1.0))]
+                       for i in range(1, size + 1)]}
+
+
+def wide_configs():
+    """The wide basis cases: a tie-heavy ONB target and a long augmented run
+    whose head competes with the tail, both far wider than the other cases."""
+    rng = random.Random(20261018)
+    return {
+        "onb_wide_ties": dict(target=_tied_target(rng, 600),
+                              dictionary={"kind": "symmetrized_onb"},
+                              coefficients={"kind": "explicit", "values": [1 / 64] * 1500},
+                              weakening=_t(1.0), max_steps=1500),
+        "augmented_wide_t07": dict(target=_flat_target(rng, 300),
+                                   dictionary=_augmented_spec(rng, 6, 12),
+                                   coefficients={"kind": "power", "alpha": 0.75,
+                                                 "scale": 0.5},
+                                   weakening=_t(0.7), max_steps=800),
+    }
+
+
 def run_configs():
     """name -> run config (without outputs), every input seeded."""
+    return {**_small_configs(), **wide_configs()}
+
+
+def _small_configs():
     rng = random.Random(20220907)
     harmonic = {"kind": "harmonic"}
     return {

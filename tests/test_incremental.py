@@ -1,0 +1,260 @@
+"""The incremental remainder: its exact square sum, its magnitude heap and the
+trusted construction behind them.
+
+A step v - c*a carries v's square sum and magnitude heap to its result and
+updates them on a's coordinates only. These tests pin that the carried state
+gives what recomputing from the entries gives, bit for bit, and that the
+vectors a policy is handed stay as they were.
+"""
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from greedyexp.cli import main
+from greedyexp.core import SparseVector, _units, subtract_scaled, tail_peak
+from greedyexp.dictionaries import (
+    WITNESS_BAND,
+    MaxGreedy,
+    _select,
+    basis_atom,
+    dictionary_from_config,
+    make_augmented_onb,
+    make_symmetrized_onb,
+)
+from greedyexp.engine import run
+from greedyexp.errors import ConfigInvalidError, EmptyVectorError
+from greedyexp.sequences import ConstantWeakening, Power
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+# ---------------------------------------------------------------------------
+# exact running square sum
+# ---------------------------------------------------------------------------
+
+# finite squares, including subnormal ones (|x| ~ 1e-160) and ones near the
+# top of the range (|x| ~ 1e150); at most 12 of them cannot overflow a sum
+MAGNITUDES = st.one_of(
+    st.floats(min_value=-1e152, max_value=1e152, allow_nan=False, allow_subnormal=True),
+    st.builds(lambda m, e, s: s * m * 10.0 ** e,
+              st.floats(min_value=1.0, max_value=9.99),
+              st.sampled_from([-170, -160, -155, -150, -20, 0, 20, 150]),
+              st.sampled_from([1.0, -1.0])),
+)
+INDICES = st.integers(min_value=1, max_value=12)
+SCALES = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
+# (index, c, x): an add or replace, v - c*x*e_i; c None removes entry i exactly
+STEPS = st.lists(st.tuples(INDICES, st.one_of(st.none(), SCALES), MAGNITUDES), max_size=40)
+
+
+def apply_step(v, index, c, x):
+    if c is None:   # exact cancellation: v_i - v_i * 1.0 == 0
+        return subtract_scaled(v, v.get(index), SparseVector({index: 1.0}))
+    return subtract_scaled(v, c, SparseVector({index: x} if x != 0.0 else {}))
+
+
+def outcome(norm):
+    """norm() of a vector, or the type of the exception it raises."""
+    try:
+        return norm()
+    except OverflowError as exc:
+        return type(exc)
+
+
+@PROPERTY
+@given(st.dictionaries(INDICES, MAGNITUDES, max_size=12), STEPS)
+def test_running_square_sum_is_fsum_bit_for_bit(start, steps):
+    v = SparseVector(start)
+    for index, c, x in steps:
+        v = apply_step(v, index, c, x)
+        squares = [y * y for _, y in v.items()]
+        if all(math.isfinite(q) for q in squares):
+            assert v._square_sum == sum(_units(q) for q in squares)
+        else:
+            assert v._square_sum is None
+        assert outcome(v.norm) == outcome(lambda: math.sqrt(math.fsum(squares)))
+
+
+def test_square_sum_survives_huge_and_tiny_cancellation():
+    v = SparseVector({1: 1e150, 2: 3e-160, 3: -2.5})
+    v = subtract_scaled(v, 1.0, SparseVector({1: 1e150, 3: -2.5}))
+    assert v == SparseVector({2: 3e-160})
+    assert v.norm() == math.sqrt((3e-160) ** 2) > 0.0
+
+
+@pytest.mark.parametrize("huge", [1e200, math.inf])
+def test_non_finite_square_falls_back_to_fsum(huge):
+    v = subtract_scaled(SparseVector({1: 0.5, 2: huge}), 1.0, SparseVector({1: 0.25}))
+    assert v._square_sum is None
+    assert v.norm() == math.inf
+    if huge < math.inf:
+        back = subtract_scaled(v, huge, SparseVector({2: 1.0}))
+        assert back == SparseVector({1: 0.25}) and back.norm() == 0.25
+
+
+def test_square_sum_overflow_behaves_as_fsum():
+    v = subtract_scaled(SparseVector({1: 1e154, 2: 1e154}), 1.0, SparseVector({3: 1.0}))
+    with pytest.raises(OverflowError):
+        math.fsum(x * x for _, x in v.items())
+    with pytest.raises(OverflowError):
+        v.norm()
+
+
+# ---------------------------------------------------------------------------
+# magnitude heap: the tail's top and band witness
+# ---------------------------------------------------------------------------
+
+def scan_select(f, start):
+    """The plain two-pass scan the heap replaces."""
+    tail = [(i, x) for i, x in f.items() if i >= start]
+    if not tail:
+        return None
+    top = max(abs(x) for _, x in tail)
+    return top, min((0 if x > 0 else 1, i) for i, x in tail if abs(x) >= top - WITNESS_BAND)
+
+
+def heap_select(f, start):
+    peak = tail_peak(f, start, WITNESS_BAND)
+    if peak is None:
+        return None
+    top, near = peak
+    return top, min((0 if x > 0 else 1, i) for i, x in near)
+
+
+# planted near-ties: a base magnitude plus offsets just below and just above
+# WITNESS_BAND, and the same magnitude with the opposite sign
+GAPS = st.sampled_from([0.0, 1e-13, 4.9e-13, 5e-13, 5.1e-13, 1e-12, -1e-13, -5.1e-13])
+TIED = st.lists(
+    st.tuples(st.integers(1, 60), st.integers(0, 2), GAPS, st.sampled_from([1.0, -1.0])),
+    min_size=1, max_size=30)
+
+
+def tied_vector(base, draws):
+    """draws of (index, level, gap, sign) -> sign * (level_value + gap)."""
+    levels = (base, base / 2, base / 3)
+    return SparseVector({i: sign * (levels[level] + gap) for i, level, gap, sign in draws})
+
+
+def assert_selects_like_scan(f, start):
+    found = scan_select(f, start)
+    assert heap_select(f, start) == found
+    if found is None:
+        with pytest.raises(EmptyVectorError):
+            _select(f, (), start)
+    else:
+        top, (rank, i) = found
+        assert _select(f, (), start) == (top, basis_atom(i, 1.0 if rank == 0 else -1.0))
+
+
+@PROPERTY
+@given(st.floats(min_value=1e-3, max_value=10.0), TIED, st.sampled_from([1, 2, 17, 40]), TIED)
+def test_heap_selection_equals_two_pass_scan(base, draws, start, updates):
+    f = tied_vector(base, draws)
+    assert_selects_like_scan(f, start)
+    # carry the heap through steps that add, replace and remove entries
+    for i, level, gap, sign in updates[:12]:
+        new = tied_vector(base, [(i, level, gap, sign)]).get(i) if level else 0.0
+        f = subtract_scaled(f, 1.0, SparseVector({i: f.get(i) - new}))
+        assert_selects_like_scan(f, start)
+
+
+def test_heap_finds_band_witness_below_top():
+    f = SparseVector({9: 0.75 + 1e-13, 3: -0.75, 5: 0.75, 2: 0.75 - 1e-12})
+    assert heap_select(f, 1) == (0.75 + 1e-13, (0, 5))
+    assert heap_select(f, 6) == (0.75 + 1e-13, (0, 9))
+    assert heap_select(f, 10) is None
+
+
+def test_stale_heap_nodes_are_rebuilt_past_twice_the_support():
+    f = SparseVector({1: 1.0, 2: 0.5})
+    tail_peak(f, 1, WITNESS_BAND)
+    for _ in range(100):   # each step leaves a stale node for index 2
+        f = subtract_scaled(f, 1e-6, SparseVector({2: 1.0}))
+        assert heap_select(f, 1) == (1.0, (0, 1))
+    assert len(f._heap[1]) <= 2 * f.support_size() + 16 + 1
+
+
+# ---------------------------------------------------------------------------
+# a policy sees immutable remainders
+# ---------------------------------------------------------------------------
+
+class Keeper(MaxGreedy):
+    """Max-greedy that keeps every remainder it is handed, with a snapshot of
+    its entries at the time."""
+
+    def __init__(self):
+        self.kept = []
+
+    def choose(self, step, dictionary, f, t, sup, witness):
+        self.kept.append((f, dict(f.items())))
+        return witness
+
+
+@pytest.mark.parametrize("dictionary", [
+    make_symmetrized_onb(),
+    make_augmented_onb([SparseVector({1: 0.6, 2: 0.8}), SparseVector({2: 1.0, 3: -1.0})],
+                       [1, 2, 3]),
+], ids=["onb", "augmented"])
+def test_kept_remainders_stay_unchanged(dictionary):
+    target = SparseVector({i: (0.5 if i % 3 else -0.5) + (1e-13 if i % 7 == 0 else 0.0)
+                           for i in range(1, 80)})
+    keeper = Keeper()
+    trace = run(target, dictionary, Power(0.75, scale=0.25), ConstantWeakening(1.0),
+                policy=keeper, max_steps=400)
+    assert len(keeper.kept) == len(trace.steps) == 400
+    norms = [trace.initial_norm] + trace.residual_norms()
+    for m, (f, snapshot) in enumerate(keeper.kept):
+        assert dict(f.items()) == snapshot
+        assert f.norm() == norms[m]
+    for f, _ in keeper.kept[::37]:
+        fresh = SparseVector(dict(f.items()))
+        assert dictionary.sup_inner(f) == dictionary.sup_inner(fresh)
+
+
+def test_handed_over_heap_is_rebuilt_for_the_parent():
+    onb = make_symmetrized_onb()
+    f = SparseVector({1: 0.5, 2: -0.5, 3: 0.25})
+    assert onb.sup_inner(f)[1].id == ("e", 0, 1)
+    g = subtract_scaled(f, 0.5, onb.sup_inner(f)[1].vector)
+    assert g._heap is not None and f._heap is None
+    assert onb.sup_inner(g)[1].id == ("e", 1, 2)
+    assert onb.sup_inner(f)[1].id == ("e", 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# outside input still goes through the validating constructor
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("pairs", [[[0, 1.0]], [[-2, 1.0]], [[[1, 0], 1.0]], [[True, 1.0]],
+                                   [[[1, 2, 3], 1.0]], [["3", 1.0]]])
+def test_json_pairs_with_bad_index_raise(pairs):
+    with pytest.raises((TypeError, ValueError)):
+        SparseVector.from_json(pairs)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "finite", "atoms": [[[0, 1.0]]]},
+    {"kind": "augmented_onb", "e_prime": [1], "extra": [[[-1, 1.0]]]},
+    {"kind": "direct_sum", "components": [{"kind": "finite", "atoms": [[[[1, 0], 1.0]]]}]},
+    {"kind": "pushforward", "base": {"kind": "finite", "atoms": [[[0, 1.0]]]},
+     "matrix": [[1.0]]},
+])
+def test_config_atoms_with_bad_index_raise(spec):
+    with pytest.raises(ConfigInvalidError):
+        dictionary_from_config(spec)
+
+
+@pytest.mark.parametrize("inline", [[[0, 1.0]], [[[2, 0], 1.0]]])
+def test_config_target_with_bad_index_exits_1(tmp_path, capsys, inline):
+    config = {"target": {"inline": inline}, "dictionary": {"kind": "symmetrized_onb"},
+              "coefficients": {"kind": "harmonic"},
+              "weakening": {"kind": "constant_t", "t": 1.0}, "max_steps": 5,
+              "outputs": {"trace": str(tmp_path / "t.csv"), "metadata": str(tmp_path / "m.json")}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
