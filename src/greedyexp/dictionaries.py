@@ -8,7 +8,10 @@ reproducible bit for bit.
 
 Every dictionary but a direct sum is one description: a materialized `head` of
 atoms plus, unless `tail_start` is None, the untouched signed basis on indices
->= tail_start.
+>= tail_start. A non-empty head is also kept as a dense float64 matrix. A query
+bounds every head atom's `fsum` score with one matrix-vector product and a
+certified error bound, and scores exactly only the atoms that can reach the
+sup or its witness band; the answer is the one a full scan gives, bit for bit.
 
 Atom ids are plain tuples whose natural tuple order is the canonical order:
 
@@ -130,19 +133,82 @@ def _best(candidates: list) -> tuple:
     return top, winner
 
 
-def _select(f: SparseVector, head: Sequence[Atom], tail_start: Optional[int]) -> tuple:
+# below 2**1023 no partial sum of a head row's score overflows
+_SCREEN_LIMIT = 2.0 ** 1023
+
+
+class _DenseHead:
+    """A materialized head as a dense float64 matrix, one row per atom in head
+    order, over the sorted union of the atoms' supports, with its absolute
+    value beside it: the input of the certified screen in _select."""
+
+    __slots__ = ("columns", "matrix", "magnitudes", "factor", "floor")
+
+    def __init__(self, head: Sequence[Atom]):
+        self.columns = sorted({i for a in head for i in a.vector.support()}, key=index_key)
+        self.matrix = np.array([[a.vector.get(i) for i in self.columns] for a in head],
+                               dtype=float).reshape(len(head), len(self.columns))
+        self.magnitudes = np.abs(self.matrix)
+        # A row's gemv value and its fsum score differ by at most
+        # (gamma_d + 2u) * S + d * 2**-1074, S being the exact sum of |h_i x_i|
+        # over the d columns: the gemv errs by gamma_d * S in any summation
+        # order, FMA included (Higham, Accuracy and Stability of Numerical
+        # Algorithms, 2nd ed., 2002, section 3.1), fsum by u * S for its
+        # products and u * S for its one rounding, and each of the 2d products
+        # by at most 2**-1075 more on underflow. The computed magnitude sum and
+        # the bound's own roundings lose a relative gamma_d + 2u at most, so
+        # this factor and floor cover the difference with room to spare.
+        d = len(self.columns)
+        self.factor = 2 * (d + 4) * 2.0 ** -53
+        self.floor = 2 * (d + 2) * 2.0 ** -1074
+
+    def rows(self, f: SparseVector, tail_top: float):
+        """Indices, in head order, of the rows whose fsum score can reach the
+        best certified lower end, or tail_top, minus WITNESS_BAND: the top row
+        and every row within the band of the sup. Every row when a bound is
+        not finite or a score could overflow."""
+        x = np.fromiter(map(f.get, self.columns), float, len(self.columns))
+        # a non-finite remainder is scored like any other, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = self.matrix @ x
+            magnitude = self.magnitudes @ np.abs(x)
+        # a NaN fails the test too
+        if not magnitude.max() < _SCREEN_LIMIT:
+            return range(len(est))
+        err = magnitude * self.factor + self.floor
+        # rounding is monotone, so est - err stays below each score, est + err
+        # above it, and the threshold below the sup minus WITNESS_BAND
+        threshold = max(float((est - err).max()), tail_top) - WITNESS_BAND
+        return np.flatnonzero(est + err >= threshold).tolist()
+
+
+def _select(f: SparseVector, head: Sequence[Atom], tail_start: Optional[int],
+            dense: Optional[_DenseHead] = None) -> tuple:
     """sup_inner over the head atoms plus, unless tail_start is None, the signed
     basis on indices >= tail_start. Ties resolve in two stages: the basis tail
     picks its own witness first, then _best decides between it and the head.
     The tail's exact max and the entries within WITNESS_BAND of it come from
-    f's magnitude heap, so a step on a basis tail scans no remainder."""
-    candidates = [] if f.is_zero() else [(inner(f, a.vector), a) for a in head]
+    f's magnitude heap, so a step on a basis tail scans no remainder.
+
+    The head is screened, not scanned: dense, the head's _DenseHead, bounds
+    every row's fsum score with two matrix-vector products, and only the rows
+    that can reach the sup or its witness band are scored with `inner`. Those
+    include the top row and every row within the band, kept in head order, so
+    _best returns the value and witness a full scan gives, bit for bit. Only
+    an empty head comes without its dense form."""
+    tail = None
     if tail_start is not None:
         peak = tail_peak(f, tail_start, WITNESS_BAND)
         if peak is not None:
             top, near = peak
             rank, i = min((0 if x > 0 else 1, i) for i, x in near)
-            candidates.append((top, basis_atom(i, 1.0 if rank == 0 else -1.0)))
+            tail = (top, basis_atom(i, 1.0 if rank == 0 else -1.0))
+    candidates = []
+    if head and not f.is_zero():
+        rows = dense.rows(f, -math.inf if tail is None else tail[0])
+        candidates = [(inner(f, head[k].vector), head[k]) for k in rows]
+    if tail is not None:
+        candidates.append(tail)
     return _best(candidates)
 
 
@@ -240,9 +306,10 @@ class FiniteDictionary(Dictionary):
                     raise ConfigInvalidError("finite dictionary atoms must use plain indices")
         self.atoms = self.head = _symmetrize(vectors, "atoms")
         self._atoms_by_id = {a.id: a for a in self.atoms}
+        self._dense = _DenseHead(self.head)
 
     def sup_inner(self, f: SparseVector) -> tuple:
-        return _select(f, self.atoms, None)
+        return _select(f, self.atoms, None, self._dense)
 
     def realize(self, aid: AtomId) -> Atom:
         return _realize(aid, self._atoms_by_id, None, "an atom of this finite dictionary")
@@ -272,9 +339,10 @@ class AugmentedOnb(Dictionary):
                 )
         self.extras = self.head = _symmetrize(extra, "extra")
         self._extras_by_id = {a.id: a for a in self.extras}
+        self._dense = _DenseHead(self.head)
 
     def sup_inner(self, f: SparseVector) -> tuple:
-        return _select(f, self.extras, 1)
+        return _select(f, self.extras, 1, self._dense)
 
     def realize(self, aid: AtomId) -> Atom:
         return _realize(aid, self._extras_by_id, 1, "an atom of this augmented basis")
@@ -375,9 +443,10 @@ class PushforwardDictionary(Dictionary):
             Atom(a.id, _from_dense(matrix @ _to_dense(a.vector, dim))) for a in head
         ]
         self._head_by_id = {a.id: a for a in self.head}
+        self._dense = _DenseHead(self.head)
 
     def sup_inner(self, f: SparseVector) -> tuple:
-        return _select(f, self.head, self.tail_start)
+        return _select(f, self.head, self.tail_start, self._dense)
 
     def realize(self, aid: AtomId) -> Atom:
         return _realize(aid, self._head_by_id, self.tail_start, "an atom of this pushforward")

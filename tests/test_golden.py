@@ -101,11 +101,44 @@ def _flat_target(rng, size):
                        for i in range(1, size + 1)]}
 
 
+def _near_duplicate_spec(rng, count, copies, dim):
+    """A finite dictionary of count Gaussian atoms in dim coordinates plus
+    copies of some of them, each copy nudged in one coordinate by 1 ulp or by
+    1e-13, shuffled so that a copy may precede its original. A copy's inner
+    products trail or lead its original's by far less than WITNESS_BAND."""
+    atoms = [[rng.gauss(0.0, 1.0) for _ in range(dim)] for _ in range(count)]
+    for _ in range(copies):
+        row = list(rng.choice(atoms[:count]))
+        k = rng.randrange(dim)
+        if rng.random() < 0.5:
+            row[k] = math.nextafter(row[k], rng.choice((math.inf, -math.inf)))
+        else:
+            row[k] += rng.choice((1e-13, -1e-13))
+        atoms.append(row)
+    rng.shuffle(atoms)
+    return {"kind": "finite",
+            "atoms": [[[i, x] for i, x in enumerate(row, start=1)] for row in atoms]}
+
+
+def head_tie_configs():
+    """A dense head with planted near-duplicate atoms at t = 1: the witness
+    band, not plain argmax, decides between a copy and its original."""
+    rng = random.Random(20261019)
+    return {
+        "finite_head_ties": dict(
+            target={"inline": [[i, rng.gauss(0.0, 1.0)] for i in range(1, 51)]},
+            dictionary=_near_duplicate_spec(rng, 160, 40, 50),
+            coefficients={"kind": "harmonic"}, weakening=_t(1.0), max_steps=400),
+    }
+
+
 def wide_configs():
     """The wide basis cases: a tie-heavy ONB target and a long augmented run
-    whose head competes with the tail, both far wider than the other cases."""
+    whose head competes with the tail, both far wider than the other cases.
+    The dense head-tie case has its own seed."""
     rng = random.Random(20261018)
     return {
+        **head_tie_configs(),
         "onb_wide_ties": dict(target=_tied_target(rng, 600),
                               dictionary={"kind": "symmetrized_onb"},
                               coefficients={"kind": "explicit", "values": [1 / 64] * 1500},
