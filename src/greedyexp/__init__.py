@@ -16,7 +16,6 @@ from .dictionaries import (
     make_symmetrized_onb,
     parse_atom_id,
     pushforward,
-    select,
     spans_ambient,
 )
 from .engine import StepRecord, Status, Trace, reconstruct, run

@@ -5,7 +5,9 @@ output; metadata JSON echoes the config and records how the run ended so that
 a truncated run is never mistaken for a converged one.
 
 Exit codes: 0 success, 1 bad config, non-finite input, unreadable input or
-unwritable output, 2 run aborted, 3 verification failed.
+unwritable output, 2 run aborted, 3 verification failed. ``main`` turns an
+OSError or GreedyExpansionError into ``error: <message>`` and exit 1; only
+``run_experiment`` (sweep's worker entry point) and check's trace read keep their own.
 """
 
 from __future__ import annotations
@@ -130,11 +132,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    try:
-        cfg = counterexample.default_config(args.t, args.groups, args.k)
-        plan = counterexample.build_plan(cfg)
-    except GreedyExpansionError as exc:
-        return _fail(str(exc))
+    cfg = counterexample.default_config(args.t, args.groups, args.k)
+    plan = counterexample.build_plan(cfg)
     trace = counterexample.run_plan(plan)
     norms = trace.residual_norms()
     marks_out = []
@@ -150,13 +149,10 @@ def cmd_counterexample(args) -> int:
         if residual is None or residual < 1.0 - 1e-9:
             ok = False
     marks_path = args.marks or (os.path.splitext(args.out)[0] + ".marks.json")
-    try:
-        engine.write_trace_csv(trace, args.out)
-        with open(marks_path, "w") as fh:
-            json.dump({"t": cfg.t, "k": cfg.k, "groups": cfg.num_groups, "marks": marks_out},
-                      fh, indent=1)
-    except OSError as exc:
-        return _fail(str(exc))
+    engine.write_trace_csv(trace, args.out)
+    with open(marks_path, "w") as fh:
+        json.dump({"t": cfg.t, "k": cfg.k, "groups": cfg.num_groups, "marks": marks_out},
+                  fh, indent=1)
     print(f"t={cfg.t} k={cfg.k} groups={cfg.num_groups}: {len(trace.steps)} steps, "
           f"{sum(1 for m in marks_out if m['residual_at_mark'] is not None)} marks -> {args.out}")
     if not ok:
@@ -182,31 +178,22 @@ def cmd_check(args) -> int:
     elif args.require_blocks:
         print("warning: trace has no block column; block checks not applicable", file=sys.stderr)
 
-    descent_warning = None
     if args.descent_coherence is not None:
-        try:
-            c_est = CoherenceEstimate(args.descent_coherence, samples=1, seed=0)
-            descent = analysis.verify_descent_inequality(
-                trace, c_est, args.descent_epsilon, args.descent_from_step)
-            report = report.merged(descent)
-            if not descent.all_passed:
-                # advisory: a sampled coherence over-estimate can flag sound traces
-                descent_warning = descent.checks[0]
-        except GreedyExpansionError as exc:
-            return _fail(str(exc))
+        c_est = CoherenceEstimate(args.descent_coherence, samples=1, seed=0)
+        report = report.merged(analysis.verify_descent_inequality(
+            trace, c_est, args.descent_epsilon, args.descent_from_step))
 
     if args.report:
-        try:
-            with open(args.report, "w") as fh:
-                json.dump(report.to_json_obj(), fh, indent=1)
-        except OSError as exc:
-            return _fail(str(exc))
-    hard_failures = [c for c in report.failed() if c.name != "descent_inequality"]
+        with open(args.report, "w") as fh:
+            json.dump(report.to_json_obj(), fh, indent=1)
+    failed = report.failed()
+    # advisory: a sampled coherence over-estimate can flag sound traces
+    hard_failures = [c for c in failed if c.name != "descent_inequality"]
     for check in report.checks:
         print(f"{'ok  ' if check.passed else 'FAIL'} {check.name}: "
               f"worst violation {check.worst_violation:.3g}"
               + (f" at step {check.step}" if check.step is not None else ""))
-    if descent_warning is not None:
+    if len(hard_failures) < len(failed):
         print("warning: descent inequality violated; the coherence value is an "
               "upper bound, so this is advisory", file=sys.stderr)
     if hard_failures:
@@ -221,15 +208,11 @@ def cmd_sweep(args) -> int:
         return _fail("sweep configs must be distinct")
     if args.jobs is not None and args.jobs < 1:
         return _fail(f"--jobs must be >= 1, got {args.jobs}")
-    results = {}
     with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        for path, code in zip(paths, pool.map(run_experiment, paths)):
-            results[path] = code
-    worst = 0
-    for path in paths:
-        print(f"{'ok  ' if results[path] == 0 else 'FAIL'} {path} (exit {results[path]})")
-        worst = max(worst, results[path])
-    return worst
+        codes = list(pool.map(run_experiment, paths))
+    for path, code in zip(paths, codes):
+        print(f"{'ok  ' if code == 0 else 'FAIL'} {path} (exit {code})")
+    return max(codes)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,7 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, GreedyExpansionError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -352,8 +352,10 @@ def make_augmented_onb(extra: Sequence[SparseVector], e_prime: Iterable[int]) ->
     return AugmentedOnb(extra, e_prime)
 
 
-def _wrap_block(vec: SparseVector, block: int) -> SparseVector:
-    return SparseVector._trusted({(block, i): v for i, v in vec.items()})
+def _lift(block: int, atom: Atom) -> Atom:
+    """A component atom as an atom of the direct sum, on block-indexed coordinates."""
+    return Atom(("b", block, atom.id),
+                SparseVector._trusted({(block, i): v for i, v in atom.vector.items()}))
 
 
 class DirectSumDictionary(Dictionary):
@@ -379,13 +381,12 @@ class DirectSumDictionary(Dictionary):
             if fl.is_zero():
                 continue
             value, atom = comp.sup_inner(fl)
-            candidates.append((value, Atom(("b", l, atom.id), _wrap_block(atom.vector, l))))
+            candidates.append((value, _lift(l, atom)))
         return _best(candidates)
 
     def realize(self, aid: AtomId) -> Atom:
         if _well_formed(aid) and aid[0] == "b" and aid[1] <= len(self.components):
-            atom = self.components[aid[1] - 1].realize(aid[2])
-            return Atom(("b", aid[1], atom.id), _wrap_block(atom.vector, aid[1]))
+            return _lift(aid[1], self.components[aid[1] - 1].realize(aid[2]))
         raise _unknown(aid, "an atom of this direct sum")
 
 
@@ -489,14 +490,6 @@ class Scripted:
         return atom
 
 
-def select(dictionary: Dictionary, f: SparseVector, t: float, policy, step: int = 1) -> Atom:
-    """One application of the weak selection rule."""
-    if not 0.0 < t <= 1.0:
-        raise ConfigInvalidError(f"weakening factor must lie in (0, 1], got {t}")
-    sup, witness = dictionary.sup_inner(f)
-    return policy.choose(step, dictionary, f, t, sup, witness)
-
-
 # ---------------------------------------------------------------------------
 # finite-dimensional diagnostics
 # ---------------------------------------------------------------------------
@@ -552,18 +545,11 @@ def estimate_coherence(dictionary: Dictionary, samples: int, seed: int) -> Coher
 # ---------------------------------------------------------------------------
 
 
-def _vectors_from_config(rows, what: str) -> list:
-    try:
-        return [SparseVector.from_json(row) for row in rows]
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalidError(f"bad {what} coordinate list: {exc}") from exc
-
-
 _DICTIONARY_BUILDERS = {
     "symmetrized_onb": lambda spec: make_symmetrized_onb(),
-    "finite": lambda spec: make_finite(_vectors_from_config(spec["atoms"], "atom")),
+    "finite": lambda spec: make_finite([SparseVector.from_json(a) for a in spec["atoms"]]),
     "augmented_onb": lambda spec: make_augmented_onb(
-        _vectors_from_config(spec.get("extra", []), "extra atom"), spec.get("e_prime", [])),
+        [SparseVector.from_json(a) for a in spec.get("extra", [])], spec.get("e_prime", [])),
     "direct_sum": lambda spec: direct_sum([dictionary_from_config(c) for c in spec["components"]]),
     "pushforward": lambda spec: pushforward(dictionary_from_config(spec["base"]), spec["matrix"]),
 }

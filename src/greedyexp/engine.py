@@ -10,7 +10,9 @@ handed. On a basis tail a step still costs only O(|atom support| * log n) plus
 one C-level dict copy: ``subtract_scaled`` passes the remainder's exact square
 sum and its magnitude heap on to the next remainder (see ``core``), so the sup
 and the recorded residual norm, bit-identical to an fsum over all entries, need
-no pass over the support.
+no pass over the support. A run starts from a private copy of the target, so
+it never fills or takes over the caller's caches and concurrent runs on one
+target share no mutable state.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .errors import (
     GreedyExpansionError,
     IndexPastEndError,
     NoAdmissibleAtomError,
+    PreconditionUnmetError,
     UnknownAtomError,
 )
 
@@ -98,7 +101,7 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
     if stop_below is not None and math.isnan(stop_below):
         raise ConfigInvalidError("stop_below must not be NaN")
     policy = policy if policy is not None else MaxGreedy()
-    remainder = f
+    remainder = SparseVector._trusted(dict(f._entries))
     trace = Trace(initial_norm=norm(f), max_steps=max_steps)
     if not math.isfinite(trace.initial_norm):
         raise ConfigInvalidError(f"target norm must be finite, got {trace.initial_norm}")
@@ -126,9 +129,14 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
 
 
 def reconstruct(trace: Trace) -> SparseVector:
-    """The approximant after the recorded steps: the sum of c_m times atom_m."""
+    """The approximant after the recorded steps: the sum of c_m times atom_m.
+    Needs an in-memory trace: one read back from CSV or JSON has no atom vectors."""
     acc = SparseVector()
     for record in trace.steps:
+        if record.atom.vector.is_zero():
+            raise PreconditionUnmetError(
+                f"step {record.m}: atom {atom_id_str(record.atom.id)} has no vector; "
+                "reconstruct needs an in-memory trace")
         acc = subtract_scaled(acc, -record.c, record.atom.vector)
     return acc
 

@@ -308,3 +308,97 @@ def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert main(["sweep", "--config", str(path), "--jobs", jobs]) == 1
     assert "--jobs must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "config.json.trace.csv").exists()
+
+
+# exact exit codes and console output of the failures that end in one error line
+
+FINITE_2D = {
+    "target": {"inline": [[1, 1.72], [2, 0.72]]},
+    "dictionary": {"kind": "finite", "atoms": [[[1, 1.0]], [[2, 1.0]]]},
+    "coefficients": {"kind": "harmonic"},
+    "max_steps": 50,
+}
+
+
+@pytest.fixture
+def finite_trace(tmp_path, capsys):
+    path, config = write_config(tmp_path, **FINITE_2D)
+    assert main(["run", "--config", str(path)]) == 0
+    capsys.readouterr()
+    return config["outputs"]["trace"]
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--groups", "0"], "num_groups must be >= 1"),
+    (["--k", "1"], "group parameter k must exceed 1, got 1"),
+], ids=["groups_0", "k_1"])
+def test_counterexample_bad_parameters_pinned(tmp_path, capsys, extra, message):
+    argv = ["counterexample", "--t", "0.5", "--out", str(tmp_path / "ce.csv")] + extra
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "ce.csv").exists()
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--descent-coherence", "0"], "coherence estimate must lie in (0, 1], got 0.0"),
+    (["--descent-coherence", "1", "--descent-from-step", "51"],
+     "no steps at or beyond from_step=51 in a 50-step trace"),
+    (["--descent-coherence", "1", "--descent-epsilon", "1", "--descent-from-step", "1"],
+     "step 1: c=1, t=1 violate the window condition (need c/t < 1 and c < 1); raise from_step"),
+], ids=["coherence_0", "from_step_past_end", "window_violation"])
+def test_check_descent_precondition_failures_pinned(finite_trace, tmp_path, capsys, extra,
+                                                    message):
+    report = tmp_path / "report.json"
+    assert main(["check", "--trace", finite_trace, "--report", str(report)] + extra) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not report.exists()
+
+
+CHECK_LINES = (
+    "ok   energy_identity: worst violation 4.15e-16 at step 31\n"
+    "ok   greedy_condition: worst violation 0\n"
+)
+
+
+def test_check_finite_run_output_pinned(finite_trace, capsys):
+    assert main(["check", "--trace", finite_trace]) == 0
+    assert capsys.readouterr() == (CHECK_LINES, "")
+
+
+def test_check_finite_run_descent_advisory_output_pinned(finite_trace, tmp_path, capsys):
+    # coherence 1 over-estimates the true 1/sqrt(2), so step 2 is flagged
+    report = tmp_path / "report.json"
+    assert main(["check", "--trace", finite_trace, "--report", str(report),
+                 "--descent-coherence", "1", "--descent-epsilon", "1",
+                 "--descent-from-step", "2"]) == 0
+    assert capsys.readouterr() == (
+        CHECK_LINES + "FAIL descent_inequality: worst violation 0.03 at step 2\n",
+        "warning: descent inequality violated; the coherence value is an upper bound, "
+        "so this is advisory\n")
+    descent = json.loads(report.read_text())["checks"][2]
+    assert (descent["name"], descent["passed"], descent["step"]) == (
+        "descent_inequality", False, 2)
+
+
+@pytest.mark.parametrize("dictionary", [
+    {"kind": "finite", "atoms": 5},
+    {"kind": "finite", "atoms": [[[0, 1.0]]]},
+    {"kind": "finite", "atoms": [[[1, "x"]]]},
+    {"kind": "augmented_onb", "extra": 5, "e_prime": [1]},
+    {"kind": "augmented_onb", "extra": [[[0, 1.0]]], "e_prime": [1]},
+    {"kind": "augmented_onb", "extra": [[[1, "x"]]], "e_prime": [1]},
+    {"kind": "direct_sum", "components": [{"kind": "symmetrized_onb"},
+                                          {"kind": "finite", "atoms": 5}]},
+    {"kind": "direct_sum", "components": [{"kind": "finite", "atoms": [[[0, 1.0]]]}]},
+    {"kind": "direct_sum", "components": [{"kind": "augmented_onb", "extra": [[[1, "x"]]],
+                                           "e_prime": [1]}]},
+], ids=["finite_not_list", "finite_index_0", "finite_non_numeric",
+        "augmented_not_list", "augmented_index_0", "augmented_non_numeric",
+        "sum_finite_not_list", "sum_finite_index_0", "sum_augmented_non_numeric"])
+def test_run_malformed_atom_list_exits_1(tmp_path, capsys, dictionary):
+    path, config = write_config(tmp_path, dictionary=dictionary)
+    assert main(["run", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: bad dictionary spec: ") and err.count("\n") == 1
+    assert not (tmp_path / "config.json.trace.csv").exists()

@@ -16,7 +16,6 @@ from greedyexp.dictionaries import (
     make_symmetrized_onb,
     parse_atom_id,
     pushforward,
-    select,
     spans_ambient,
 )
 from greedyexp.engine import run
@@ -164,30 +163,30 @@ def test_symmetry_forces_nonnegative_sup():
 # selection policies
 # ---------------------------------------------------------------------------
 
+def choose(d, f, t, policy):
+    """One application of the weak selection rule, as the engine makes it at step 1."""
+    return policy.choose(1, d, f, t, *d.sup_inner(f))
+
+
 def test_max_greedy_select():
-    atom = select(make_symmetrized_onb(), sv((2, 0.9)), 1.0, MaxGreedy())
+    atom = choose(make_symmetrized_onb(), sv((2, 0.9)), 1.0, MaxGreedy())
     assert atom.id == ("e", 0, 2)
 
 
 def test_scripted_boundary_admissible():
     # ip = 0.25 equals t*sup = 0.5*0.5 exactly
-    atom = select(make_symmetrized_onb(), sv((1, 0.25), (2, 0.5)), 0.5, Scripted(["+e1"]))
+    atom = choose(make_symmetrized_onb(), sv((1, 0.25), (2, 0.5)), 0.5, Scripted(["+e1"]))
     assert atom.id == ("e", 0, 1)
 
 
 def test_scripted_inadmissible_raises():
     with pytest.raises(NoAdmissibleAtomError):
-        select(make_symmetrized_onb(), sv((1, 0.1), (2, 0.5)), 0.5, Scripted(["+e1"]))
+        choose(make_symmetrized_onb(), sv((1, 0.1), (2, 0.5)), 0.5, Scripted(["+e1"]))
 
 
 def test_scripted_unknown_atom():
     with pytest.raises(UnknownAtomError):
-        select(make_finite([dense([1, 0])]), dense([1, 0]), 1.0, Scripted(["y5"]))
-
-
-def test_select_validates_t():
-    with pytest.raises(ConfigInvalidError):
-        select(make_symmetrized_onb(), sv((1, 1.0)), 0.0, MaxGreedy())
+        choose(make_finite([dense([1, 0])]), dense([1, 0]), 1.0, Scripted(["y5"]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from greedyexp.engine import (
     write_trace_csv,
     write_trace_json,
 )
-from greedyexp.errors import ConfigInvalidError
+from greedyexp.errors import ConfigInvalidError, PreconditionUnmetError
 from greedyexp.sequences import ConstantWeakening, Explicit, Harmonic, Power
 
 
@@ -86,6 +86,27 @@ def test_reconstruct_matches_final_residual():
         approx = reconstruct(trace)
         assert norm(subtract_scaled(target, 1.0, approx)) == pytest.approx(
             trace.steps[-1].residual_norm, abs=1e-9)
+
+
+@pytest.mark.parametrize("writer,reader", [(write_trace_csv, read_trace_csv),
+                                           (write_trace_json, read_trace_json)],
+                         ids=["csv", "json"])
+def test_reconstruct_rejects_a_trace_read_back_from_disk(tmp_path, writer, reader):
+    # serialized traces keep atom ids only, so there is nothing to sum
+    trace = run(SparseVector({1: 0.75}), ONB, Explicit([0.5, 0.25]), T1, max_steps=10)
+    path = str(tmp_path / "trace")
+    writer(trace, path)
+    with pytest.raises(PreconditionUnmetError, match="step 1"):
+        reconstruct(reader(path))
+
+
+def test_run_leaves_the_target_untouched():
+    target = dense(np.arange(1.0, 40.0))
+    for dictionary in (ONB, make_finite([dense([1, 2]), dense([0, 1])])):
+        trace = run(target, dictionary, Harmonic(), T1, max_steps=30)
+        assert len(trace.steps) == 30
+        assert target._square_sum is None and target._heap is None
+    assert target == dense(np.arange(1.0, 40.0))
 
 
 def test_admissibility_and_energy_identity_hold():
