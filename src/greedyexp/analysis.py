@@ -13,7 +13,7 @@ from typing import Optional
 
 from .dictionaries import CoherenceEstimate
 from .engine import Trace
-from .errors import PreconditionUnmetError
+from .errors import ConfigInvalidError, PreconditionUnmetError
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,11 @@ def verify_descent_inequality(trace: Trace, c_est: CoherenceEstimate, epsilon: f
     condition c_m/t_m < epsilon and c_m < epsilon/c beyond from_step. With the
     true coherence constant the bound cannot fail on a sound trace; a sampled
     estimate only upper-bounds that constant, so failures under an estimate
-    are advisory.
+    are advisory. An epsilon that is not finite and > 0 raises
+    ConfigInvalidError.
     """
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ConfigInvalidError(f"epsilon must be finite and > 0, got {epsilon}")
     c = c_est.value
     threshold = epsilon / c
     prev = trace.initial_norm

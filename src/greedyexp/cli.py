@@ -118,8 +118,9 @@ def run_experiment(config_path: str) -> int:
             "early_exit_threshold": stop_below,
             "truncation_reason": trace.status.reason,
         }
+        # json.dumps without indent runs the C encoder; json.dump never does
         with open(meta_path, "w") as fh:
-            json.dump(meta, fh, indent=1)
+            fh.write(json.dumps(meta))
     except (OSError, GreedyExpansionError) as exc:
         return _fail(f"{config_path}: {exc}")
     print(f"{config_path}: {trace.status.kind} after {len(trace.steps)} steps, "

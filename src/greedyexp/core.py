@@ -18,7 +18,15 @@ them on a's coordinates only:
   whose entry has changed stay in the heap until they surface. The heap is
   handed over, not copied: v drops it and rebuilds it if it is queried again.
 
-Both caches are invisible: vectors stay immutable and compare by entries only.
+A block-indexed vector also splits into its block restrictions, all of them in
+one pass the first time one is asked for (``block_parts``). Each restriction
+sits beside a memo that a direct sum fills with the block's sup. A step carries
+them over: it steps only the restrictions of the blocks its atom touches, by
+the same ``old - c*x`` update and with their heaps handed over but no square
+sum, which nothing asks of them, and shares the other restrictions and their
+memos with the result unchanged.
+
+These caches are invisible: vectors stay immutable and compare by entries only.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ def index_key(index: Index) -> Tuple[int, int, int]:
 class SparseVector:
     """Immutable finitely-supported vector; stored entries are never exactly zero."""
 
-    __slots__ = ("_entries", "_square_sum", "_heap")
+    __slots__ = ("_entries", "_square_sum", "_heap", "_blocks")
 
     def __init__(self, entries: dict | None = None):
         clean = {}
@@ -73,6 +81,7 @@ class SparseVector:
         _set_entries(self, clean)
         _set_square_sum(self, None)
         _set_heap(self, None)
+        _set_blocks(self, None)
 
     @classmethod
     def _trusted(cls, entries: dict, square_sum=None, heap=None) -> "SparseVector":
@@ -83,6 +92,7 @@ class SparseVector:
         _set_entries(v, entries)
         _set_square_sum(v, square_sum)
         _set_heap(v, heap)
+        _set_blocks(v, None)
         return v
 
     def __setattr__(self, name, value):
@@ -123,9 +133,8 @@ class SparseVector:
 
     def block_restriction(self, block: int) -> "SparseVector":
         """Component of a block-indexed vector, re-expressed on plain inner indices."""
-        return SparseVector._trusted(
-            {i[1]: v for i, v in self._entries.items() if isinstance(i, tuple) and i[0] == block}
-        )
+        part = block_parts(self).get(block)
+        return SparseVector._trusted({}) if part is None else part[0]
 
     def to_pairs(self) -> list:
         """Sorted (index, value) pairs; block indices appear as two-element lists."""
@@ -154,6 +163,23 @@ class SparseVector:
 _set_entries = SparseVector.__dict__["_entries"].__set__
 _set_square_sum = SparseVector.__dict__["_square_sum"].__set__
 _set_heap = SparseVector.__dict__["_heap"].__set__
+_set_blocks = SparseVector.__dict__["_blocks"].__set__
+
+
+def block_parts(v: SparseVector) -> dict:
+    """block -> (restriction, memo) for every block on which v is nonzero,
+    built in one pass and cached on first use. The restriction is v's block on
+    plain inner indices; the memo is a dict a caller may fill with results that
+    depend on the restriction alone."""
+    parts = v._blocks
+    if parts is None:
+        split = {}
+        for i, x in v._entries.items():
+            if isinstance(i, tuple):
+                split.setdefault(i[0], {})[i[1]] = x
+        parts = {l: (SparseVector._trusted(e), {}) for l, e in split.items()}
+        _set_blocks(v, parts)
+    return parts
 
 
 def inner(u: SparseVector, v: SparseVector) -> float:
@@ -192,15 +218,39 @@ def subtract_scaled(v: SparseVector, c: float, a: SparseVector) -> SparseVector:
     """v - c*a, re-canonicalized: entries that cancel exactly are removed.
 
     The result carries v's square sum, updated on a's coordinates, and takes
-    over v's magnitude heap with a node pushed for every changed tail entry."""
+    over v's magnitude heap with a node pushed for every changed tail entry.
+    When v's block restrictions are built, the result gets them too: each
+    block a touches is stepped the same way, every other one is shared."""
     c = float(c)
+    w = _step(v, c, a._entries.items(), _exact_square_sum(v))
+    parts = v._blocks
+    if parts is not None:
+        touched = {}
+        for i, x in a._entries.items():
+            if isinstance(i, tuple):
+                touched.setdefault(i[0], []).append((i[1], x))
+        if touched:
+            parts = dict(parts)
+            for l, pairs in touched.items():
+                part = parts.get(l)
+                fl = _step(SparseVector._trusted({}) if part is None else part[0], c, pairs, None)
+                if fl._entries:
+                    parts[l] = (fl, {})
+                else:
+                    parts.pop(l, None)
+        _set_blocks(w, parts)
+    return w
+
+
+def _step(v: SparseVector, c: float, pairs, total) -> SparseVector:
+    """v - c*a over a's (index, value) pairs, with v's square sum total (None
+    to keep none) and v's magnitude heap carried over."""
     entries = dict(v._entries)
-    total = _exact_square_sum(v)
     heap = v._heap
     if heap is not None:
         _set_heap(v, None)
         start, nodes = heap
-    for i, x in a._entries.items():
+    for i, x in pairs:
         old = entries.get(i, 0.0)
         new = old - c * x
         if new == 0.0:

@@ -32,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import SparseVector, index_key, inner, tail_peak
+from .core import SparseVector, block_parts, index_key, inner, tail_peak
 from .errors import (
     ConfigInvalidError,
     EmptyVectorError,
@@ -202,7 +202,8 @@ def _select(f: SparseVector, head: Sequence[Atom], tail_start: Optional[int],
         if peak is not None:
             top, near = peak
             rank, i = min((0 if x > 0 else 1, i) for i, x in near)
-            tail = (top, basis_atom(i, 1.0 if rank == 0 else -1.0))
+            # i is one of f's entries, so its index needs no validation
+            tail = (top, Atom(("e", rank, i), SparseVector._trusted({i: -1.0 if rank else 1.0})))
     candidates = []
     if head and not f.is_zero():
         rows = dense.rows(f, -math.inf if tail is None else tail[0])
@@ -375,13 +376,22 @@ class DirectSumDictionary(Dictionary):
         self.components = list(components)
 
     def sup_inner(self, f: SparseVector) -> tuple:
+        """Each nonzero block's lifted (value, atom), in block order, then _best.
+        A block's answer is memoized beside its restriction, keyed by this
+        dictionary; a step shares the restrictions it leaves untouched, so
+        only the block it touched is selected in again."""
+        parts = block_parts(f)
         candidates = []
         for l, comp in enumerate(self.components, start=1):
-            fl = f.block_restriction(l)
-            if fl.is_zero():
+            part = parts.get(l)
+            if part is None:
                 continue
-            value, atom = comp.sup_inner(fl)
-            candidates.append((value, _lift(l, atom)))
+            fl, memo = part
+            best = memo.get(self)
+            if best is None:
+                value, atom = comp.sup_inner(fl)
+                best = memo[self] = (value, _lift(l, atom))
+            candidates.append(best)
         return _best(candidates)
 
     def realize(self, aid: AtomId) -> Atom:

@@ -10,7 +10,9 @@ handed. On a basis tail a step still costs only O(|atom support| * log n) plus
 one C-level dict copy: ``subtract_scaled`` passes the remainder's exact square
 sum and its magnitude heap on to the next remainder (see ``core``), so the sup
 and the recorded residual norm, bit-identical to an fsum over all entries, need
-no pass over the support. A run starts from a private copy of the target, so
+no pass over the support. Inside a direct sum it also passes on the block
+restrictions, with each block's memoized sup, and a step selects again only in
+the block its atom touched. A run starts from a private copy of the target, so
 it never fills or takes over the caller's caches and concurrent runs on one
 target share no mutable state.
 """
@@ -173,15 +175,32 @@ def _record_from_row(row: dict) -> StepRecord:
 
 
 def read_trace_csv(path: str) -> Trace:
-    """Load step records from CSV. Atoms come back with their ids and empty
-    vectors; the initial norm and status are not part of the CSV format and
-    come back as None."""
+    """Load step records from CSV. Atoms come back with their ids and one
+    shared empty vector; the initial norm and status are not part of the CSV
+    format and come back as None. A wrong header, or a row that does not have
+    exactly one field per header column, raises GreedyExpansionError; blank
+    lines are skipped."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_HEADER:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != CSV_HEADER:
             raise GreedyExpansionError(
-                f"unexpected trace header {reader.fieldnames!r}, want {CSV_HEADER!r}")
-        steps = [_record_from_row(row) for row in reader]
+                f"unexpected trace header {header!r}, want {CSV_HEADER!r}")
+        empty = SparseVector()
+        atoms = {}
+        steps = []
+        for row in reader:
+            if len(row) != len(CSV_HEADER):
+                if not row:
+                    continue
+                raise GreedyExpansionError(
+                    f"line {reader.line_num}: {len(row)} fields, want {len(CSV_HEADER)}")
+            m, text, c, t, ip, sup, residual_norm, block = row
+            atom = atoms.get(text)
+            if atom is None:
+                atom = atoms[text] = Atom(parse_atom_id(text), empty)
+            steps.append(StepRecord(int(m), atom, float(c), float(t), float(ip), float(sup),
+                                    float(residual_norm), int(block) if block else None))
     return Trace(steps=steps)
 
 

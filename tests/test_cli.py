@@ -204,6 +204,36 @@ def test_check_unreadable_trace_exits_1(tmp_path):
     assert main(["check", "--trace", str(tmp_path / "missing.csv")]) == 1
 
 
+@pytest.mark.parametrize("fields", [5, 7, 9], ids=["too_few", "no_block", "too_many"])
+def test_check_trace_row_with_wrong_field_count_exits_1(finite_trace, capsys, fields):
+    with open(finite_trace, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[4] = (rows[4] + ["1"])[:fields]
+    with open(finite_trace, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["check", "--trace", finite_trace]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot read trace {finite_trace}: line 5: {fields} fields, want 8\n")
+
+
+def test_check_trace_skips_blank_lines(finite_trace, capsys):
+    with open(finite_trace, newline="") as fh:
+        lines = fh.read().split("\r\n")
+    with open(finite_trace, "w", newline="") as fh:
+        fh.write("\r\n".join(lines[:3] + [""] + lines[3:]) + "\r\n")
+    assert main(["check", "--trace", finite_trace]) == 0
+    assert capsys.readouterr() == (CHECK_LINES, "")
+
+
+def test_run_metadata_is_compact_json(tmp_path):
+    path, config = write_config(tmp_path)
+    assert main(["run", "--config", str(path)]) == 0
+    text = open(config["outputs"]["metadata"]).read()
+    meta = json.loads(text)
+    assert text == json.dumps(meta)
+    assert meta["config"] == config and meta["steps"] == 1
+
+
 def test_check_blockless_trace_with_block_request_warns_exit_0(tmp_path, capsys):
     path, config = write_config(tmp_path, max_steps=5)
     assert main(["run", "--config", str(path)]) == 0
@@ -345,7 +375,16 @@ def test_counterexample_bad_parameters_pinned(tmp_path, capsys, extra, message):
      "no steps at or beyond from_step=51 in a 50-step trace"),
     (["--descent-coherence", "1", "--descent-epsilon", "1", "--descent-from-step", "1"],
      "step 1: c=1, t=1 violate the window condition (need c/t < 1 and c < 1); raise from_step"),
-], ids=["coherence_0", "from_step_past_end", "window_violation"])
+    (["--descent-coherence", "1", "--descent-epsilon", "nan"],
+     "epsilon must be finite and > 0, got nan"),
+    (["--descent-coherence", "1", "--descent-epsilon", "inf"],
+     "epsilon must be finite and > 0, got inf"),
+    (["--descent-coherence", "1", "--descent-epsilon", "0"],
+     "epsilon must be finite and > 0, got 0.0"),
+    (["--descent-coherence", "1", "--descent-epsilon", "-0.5"],
+     "epsilon must be finite and > 0, got -0.5"),
+], ids=["coherence_0", "from_step_past_end", "window_violation", "epsilon_nan", "epsilon_inf",
+        "epsilon_0", "epsilon_negative"])
 def test_check_descent_precondition_failures_pinned(finite_trace, tmp_path, capsys, extra,
                                                     message):
     report = tmp_path / "report.json"

@@ -102,11 +102,14 @@ def test_reconstruct_rejects_a_trace_read_back_from_disk(tmp_path, writer, reade
 
 def test_run_leaves_the_target_untouched():
     target = dense(np.arange(1.0, 40.0))
-    for dictionary in (ONB, make_finite([dense([1, 2]), dense([0, 1])])):
-        trace = run(target, dictionary, Harmonic(), T1, max_steps=30)
+    blocked = SparseVector({(1 + i % 2, i): float(i) for i in range(1, 40)})
+    finite = make_finite([dense([1, 2]), dense([0, 1])])
+    for f, dictionary in ((target, ONB), (target, finite), (blocked, direct_sum([ONB, finite]))):
+        trace = run(f, dictionary, Harmonic(), T1, max_steps=30)
         assert len(trace.steps) == 30
-        assert target._square_sum is None and target._heap is None
+        assert f._square_sum is None and f._heap is None and f._blocks is None
     assert target == dense(np.arange(1.0, 40.0))
+    assert blocked == SparseVector({(1 + i % 2, i): float(i) for i in range(1, 40)})
 
 
 def test_admissibility_and_energy_identity_hold():
