@@ -14,9 +14,10 @@ them on a's coordinates only:
   ``math.fsum`` does, so ``norm()`` is bit-identical to the fsum of the
   squares. A non-finite square drops the cache and norm() falls back to fsum;
 - a lazy max-heap of (-|x|, i) over the indices from some start on, from which
-  ``tail_peak`` reads the largest magnitude and the entries near it. Nodes
-  whose entry has changed stay in the heap until they surface. The heap is
-  handed over, not copied: v drops it and rebuilds it if it is queried again.
+  ``tail_top`` reads the largest magnitude and ``tail_peak`` also the entries
+  near it. Nodes whose entry has changed stay in the heap until they surface.
+  The heap is handed over, not copied: v drops it and rebuilds it if it is
+  queried again.
 
 A block-indexed vector also splits into its block restrictions, all of them in
 one pass the first time one is asked for (``block_parts``). Each restriction
@@ -281,25 +282,33 @@ def _magnitude_heap(v: SparseVector, start: int) -> list:
     return heap[1]
 
 
-def tail_peak(v: SparseVector, start: int, band: float):
-    """Over v's entries on indices >= start: the largest magnitude top and
-    every (i, x) with |x| >= top - band, in no particular order; None when
-    there is no such entry.
-
-    Reads v's magnitude heap: stale nodes are dropped from the root until it
-    holds a current entry, then only the nodes whose magnitude reaches
-    top - band are visited: a node below that bounds its whole subtree."""
+def tail_top(v: SparseVector, start: int):
+    """The largest magnitude over v's entries on indices >= start; None when
+    there is no such entry. Stale nodes are dropped from the root of v's
+    magnitude heap until it holds a current entry, which it then keeps."""
     nodes = _magnitude_heap(v, start)
     entries = v._entries
     while nodes:
         neg, i = nodes[0]
         x = entries.get(i)
         if x is not None and abs(x) == -neg:
-            break
+            return -neg
         heapq.heappop(nodes)
-    else:
+    return None
+
+
+def tail_peak(v: SparseVector, start: int, band: float):
+    """Over v's entries on indices >= start: the largest magnitude top and
+    every (i, x) with |x| >= top - band, in no particular order; None when
+    there is no such entry.
+
+    Reads v's magnitude heap: after tail_top, only the nodes whose magnitude
+    reaches top - band are visited: a node below that bounds its whole subtree."""
+    top = tail_top(v, start)
+    if top is None:
         return None
-    top = -nodes[0][0]
+    nodes = v._heap[1]
+    entries = v._entries
     floor = top - band
     near, stack, size = [], [0], len(nodes)
     while stack:

@@ -1,10 +1,10 @@
 """Symmetric dictionaries: selection oracles and the standard constructors.
 
 A dictionary answers two queries: the supremum of inner products against a
-vector (with the atom attaining it), and the realization of an atom id. All
-constructed dictionaries are symmetric (closed under negation). Tie-breaking
-is by the smallest atom id under a fixed total order so that traces are
-reproducible bit for bit.
+vector (with the atom attaining it, unless the caller passes witness=False),
+and the realization of an atom id. All constructed dictionaries are symmetric
+(closed under negation). Tie-breaking is by the smallest atom id under a fixed
+total order so that traces are reproducible bit for bit.
 
 Every dictionary but a direct sum is one description: a materialized `head` of
 atoms plus, unless `tail_start` is None, the untouched signed basis on indices
@@ -28,11 +28,12 @@ import math
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import SparseVector, block_parts, index_key, inner, tail_peak
+from .core import SparseVector, block_parts, index_key, inner, tail_peak, tail_top
 from .errors import (
     ConfigInvalidError,
     EmptyVectorError,
@@ -120,14 +121,17 @@ def basis_atom(index: int, sign: float) -> Atom:
     return Atom(("e", rank, index), SparseVector({index: 1.0 if sign > 0 else -1.0}))
 
 
-def _best(candidates: list) -> tuple:
+def _best(candidates: list, witness: bool = True) -> tuple:
     """The exact largest value, paired with the smallest-id atom that comes
-    within WITNESS_BAND of it."""
+    within WITNESS_BAND of it, or with None when witness is False."""
     if not candidates:
         raise EmptyVectorError("sup over a symmetric dictionary needs a nonzero vector")
     if len(candidates) == 1:
-        return candidates[0]
+        return candidates[0] if witness else (candidates[0][0], None)
     top = max(value for value, _ in candidates)
+    # a NaN top fails below as it does when the witness is wanted
+    if not witness and top == top:
+        return top, None
     winner = min((atom for value, atom in candidates if value >= top - WITNESS_BAND),
                  key=lambda a: a.id)
     return top, winner
@@ -162,12 +166,13 @@ class _DenseHead:
         self.factor = 2 * (d + 4) * 2.0 ** -53
         self.floor = 2 * (d + 2) * 2.0 ** -1074
 
-    def rows(self, f: SparseVector, tail_top: float):
+    def rows(self, f: SparseVector, tail_top: float, band: float = WITNESS_BAND):
         """Indices, in head order, of the rows whose fsum score can reach the
-        best certified lower end, or tail_top, minus WITNESS_BAND: the top row
-        and every row within the band of the sup. Every row when a bound is
-        not finite or a score could overflow."""
-        x = np.fromiter(map(f.get, self.columns), float, len(self.columns))
+        best certified lower end, or tail_top, minus band: the top row and
+        every row within the band of the sup. Every row when a bound is not
+        finite or a score could overflow."""
+        n = len(self.columns)
+        x = np.fromiter(map(f._entries.get, self.columns, repeat(0.0, n)), float, n)
         # a non-finite remainder is scored like any other, without a warning
         with np.errstate(over="ignore", invalid="ignore"):
             est = self.matrix @ x
@@ -177,13 +182,13 @@ class _DenseHead:
             return range(len(est))
         err = magnitude * self.factor + self.floor
         # rounding is monotone, so est - err stays below each score, est + err
-        # above it, and the threshold below the sup minus WITNESS_BAND
-        threshold = max(float((est - err).max()), tail_top) - WITNESS_BAND
+        # above it, and the threshold below the sup minus band
+        threshold = max(float((est - err).max()), tail_top) - band
         return np.flatnonzero(est + err >= threshold).tolist()
 
 
 def _select(f: SparseVector, head: Sequence[Atom], tail_start: Optional[int],
-            dense: Optional[_DenseHead] = None) -> tuple:
+            dense: Optional[_DenseHead] = None, witness: bool = True) -> tuple:
     """sup_inner over the head atoms plus, unless tail_start is None, the signed
     basis on indices >= tail_start. Ties resolve in two stages: the basis tail
     picks its own witness first, then _best decides between it and the head.
@@ -195,33 +200,48 @@ def _select(f: SparseVector, head: Sequence[Atom], tail_start: Optional[int],
     that can reach the sup or its witness band are scored with `inner`. Those
     include the top row and every row within the band, kept in head order, so
     _best returns the value and witness a full scan gives, bit for bit. Only
-    an empty head comes without its dense form."""
+    an empty head comes without its dense form.
+
+    With witness False the answer is (sup, None): the tail gives its top
+    alone, and the screen keeps only the rows that can reach the sup itself.
+    Every row whose score equals the sup is among them, in the same order,
+    so the max over them is the witness query's sup bit for bit, signed
+    zeros included."""
     tail = None
     if tail_start is not None:
-        peak = tail_peak(f, tail_start, WITNESS_BAND)
-        if peak is not None:
-            top, near = peak
-            rank, i = min((0 if x > 0 else 1, i) for i, x in near)
-            # i is one of f's entries, so its index needs no validation
-            tail = (top, Atom(("e", rank, i), SparseVector._trusted({i: -1.0 if rank else 1.0})))
+        if witness:
+            peak = tail_peak(f, tail_start, WITNESS_BAND)
+            if peak is not None:
+                top, near = peak
+                rank, i = min((0 if x > 0 else 1, i) for i, x in near)
+                # i is one of f's entries, so its index needs no validation
+                tail = (top, Atom(("e", rank, i),
+                                  SparseVector._trusted({i: -1.0 if rank else 1.0})))
+        else:
+            top = tail_top(f, tail_start)
+            if top is not None:
+                tail = (top, None)
     candidates = []
     if head and not f.is_zero():
-        rows = dense.rows(f, -math.inf if tail is None else tail[0])
+        rows = dense.rows(f, -math.inf if tail is None else tail[0],
+                          WITNESS_BAND if witness else 0.0)
         candidates = [(inner(f, head[k].vector), head[k]) for k in rows]
     if tail is not None:
         candidates.append(tail)
-    return _best(candidates)
+    return _best(candidates, witness)
 
 
 def _well_formed(aid) -> bool:
-    """Does aid have the shape of a basis, dense or direct-sum atom id?"""
+    """Does aid have the shape of a basis, dense or direct-sum atom id? Its
+    numbers must be plain ints: a bool is not an index."""
     if not isinstance(aid, tuple) or not aid:
         return False
     if aid[0] == "e":
-        return len(aid) == 3 and aid[1] in (0, 1) and isinstance(aid[2], int) and aid[2] >= 1
+        return (len(aid) == 3 and type(aid[1]) is int and aid[1] in (0, 1)
+                and type(aid[2]) is int and aid[2] >= 1)
     if aid[0] == "y":
-        return len(aid) == 2 and isinstance(aid[1], int) and aid[1] >= 0
-    return (aid[0] == "b" and len(aid) == 3 and isinstance(aid[1], int) and aid[1] >= 1
+        return len(aid) == 2 and type(aid[1]) is int and aid[1] >= 0
+    return (aid[0] == "b" and len(aid) == 3 and type(aid[1]) is int and aid[1] >= 1
             and _well_formed(aid[2]))
 
 
@@ -237,7 +257,8 @@ def _realize(aid, head_by_id: dict, tail_start: Optional[int], what: str) -> Ato
         if atom is not None:
             return atom
         if aid[0] == "e" and tail_start is not None and aid[2] >= tail_start:
-            return basis_atom(aid[2], 1.0 if aid[1] == 0 else -1.0)
+            # a well-formed basis id holds a valid index
+            return Atom(aid, SparseVector._trusted({aid[2]: -1.0 if aid[1] else 1.0}))
     raise _unknown(aid, what)
 
 
@@ -247,9 +268,10 @@ class Dictionary(ABC):
     kind: str
 
     @abstractmethod
-    def sup_inner(self, f: SparseVector) -> tuple:
+    def sup_inner(self, f: SparseVector, witness: bool = True) -> tuple:
         """Exact max of <f, g> over atoms g, with the smallest-id atom whose
-        inner product comes within WITNESS_BAND of it."""
+        inner product comes within WITNESS_BAND of it; with witness False,
+        the same max, bit for bit, with None."""
 
     @abstractmethod
     def realize(self, aid: AtomId) -> Atom:
@@ -263,8 +285,8 @@ class SymmetrizedOnb(Dictionary):
     head = ()
     tail_start = 1
 
-    def sup_inner(self, f: SparseVector) -> tuple:
-        return _select(f, (), 1)
+    def sup_inner(self, f: SparseVector, witness: bool = True) -> tuple:
+        return _select(f, (), 1, None, witness)
 
     def realize(self, aid: AtomId) -> Atom:
         return _realize(aid, {}, 1, "a signed basis atom")
@@ -309,8 +331,8 @@ class FiniteDictionary(Dictionary):
         self._atoms_by_id = {a.id: a for a in self.atoms}
         self._dense = _DenseHead(self.head)
 
-    def sup_inner(self, f: SparseVector) -> tuple:
-        return _select(f, self.atoms, None, self._dense)
+    def sup_inner(self, f: SparseVector, witness: bool = True) -> tuple:
+        return _select(f, self.atoms, None, self._dense, witness)
 
     def realize(self, aid: AtomId) -> Atom:
         return _realize(aid, self._atoms_by_id, None, "an atom of this finite dictionary")
@@ -342,8 +364,8 @@ class AugmentedOnb(Dictionary):
         self._extras_by_id = {a.id: a for a in self.extras}
         self._dense = _DenseHead(self.head)
 
-    def sup_inner(self, f: SparseVector) -> tuple:
-        return _select(f, self.extras, 1, self._dense)
+    def sup_inner(self, f: SparseVector, witness: bool = True) -> tuple:
+        return _select(f, self.extras, 1, self._dense, witness)
 
     def realize(self, aid: AtomId) -> Atom:
         return _realize(aid, self._extras_by_id, 1, "an atom of this augmented basis")
@@ -375,11 +397,13 @@ class DirectSumDictionary(Dictionary):
             raise ConfigInvalidError("direct sums cannot be nested")
         self.components = list(components)
 
-    def sup_inner(self, f: SparseVector) -> tuple:
+    def sup_inner(self, f: SparseVector, witness: bool = True) -> tuple:
         """Each nonzero block's lifted (value, atom), in block order, then _best.
         A block's answer is memoized beside its restriction, keyed by this
         dictionary; a step shares the restrictions it leaves untouched, so
-        only the block it touched is selected in again."""
+        only the block it touched is selected in again. With witness False
+        the blocks are asked for their sup alone and the memo holds (value,
+        None), which a query that wants a witness treats as a miss."""
         parts = block_parts(f)
         candidates = []
         for l, comp in enumerate(self.components, start=1):
@@ -388,11 +412,14 @@ class DirectSumDictionary(Dictionary):
                 continue
             fl, memo = part
             best = memo.get(self)
-            if best is None:
-                value, atom = comp.sup_inner(fl)
-                best = memo[self] = (value, _lift(l, atom))
+            if witness:
+                if best is None or best[1] is None:
+                    value, atom = comp.sup_inner(fl)
+                    best = memo[self] = (value, _lift(l, atom))
+            elif best is None:
+                best = memo[self] = (comp.sup_inner(fl, witness=False)[0], None)
             candidates.append(best)
-        return _best(candidates)
+        return _best(candidates, witness)
 
     def realize(self, aid: AtomId) -> Atom:
         if _well_formed(aid) and aid[0] == "b" and aid[1] <= len(self.components):
@@ -456,8 +483,8 @@ class PushforwardDictionary(Dictionary):
         self._head_by_id = {a.id: a for a in self.head}
         self._dense = _DenseHead(self.head)
 
-    def sup_inner(self, f: SparseVector) -> tuple:
-        return _select(f, self.head, self.tail_start, self._dense)
+    def sup_inner(self, f: SparseVector, witness: bool = True) -> tuple:
+        return _select(f, self.head, self.tail_start, self._dense, witness)
 
     def realize(self, aid: AtomId) -> Atom:
         return _realize(aid, self._head_by_id, self.tail_start, "an atom of this pushforward")
@@ -473,7 +500,12 @@ def pushforward(base: Dictionary, matrix) -> PushforwardDictionary:
 
 
 class MaxGreedy:
-    """Always take the sup witness (strong greedy selection)."""
+    """Always take the sup witness (strong greedy selection).
+
+    needs_witness tells the engine that choose reads its witness argument, so
+    the dictionary must find the sup's smallest-id atom on every step."""
+
+    needs_witness = True
 
     def choose(self, step: int, dictionary: Dictionary, f: SparseVector,
                t: float, sup: float, witness: Atom) -> Atom:
@@ -481,13 +513,19 @@ class MaxGreedy:
 
 
 class Scripted:
-    """Replay a fixed atom plan, validating admissibility at every step."""
+    """Replay a fixed atom plan, validating admissibility at every step.
+
+    needs_witness is False: choose checks the planned atom against t*sup and
+    never reads its witness argument, so the engine asks the dictionary for
+    the sup alone and hands choose None as the witness."""
+
+    needs_witness = False
 
     def __init__(self, plan: Sequence):
         self.plan = [a if isinstance(a, tuple) else parse_atom_id(a) for a in plan]
 
     def choose(self, step: int, dictionary: Dictionary, f: SparseVector,
-               t: float, sup: float, witness: Atom) -> Atom:
+               t: float, sup: float, witness: Optional[Atom]) -> Atom:
         if step > len(self.plan):
             raise IndexPastEndError(f"selection plan exhausted at step {step}")
         atom = dictionary.realize(self.plan[step - 1])

@@ -103,6 +103,8 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
     if stop_below is not None and math.isnan(stop_below):
         raise ConfigInvalidError("stop_below must not be NaN")
     policy = policy if policy is not None else MaxGreedy()
+    # a policy that never reads the witness spares the dictionary finding it
+    needs_witness = getattr(policy, "needs_witness", True)
     remainder = SparseVector._trusted(dict(f._entries))
     trace = Trace(initial_norm=norm(f), max_steps=max_steps)
     if not math.isfinite(trace.initial_norm):
@@ -114,7 +116,10 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
         try:
             c = coefficients.eval(m)
             t = weakening.eval(m)
-            sup, witness = dictionary.sup_inner(remainder)
+            if needs_witness:
+                sup, witness = dictionary.sup_inner(remainder)
+            else:
+                sup, witness = dictionary.sup_inner(remainder, witness=False)
             atom = policy.choose(m, dictionary, remainder, t, sup, witness)
         except (IndexPastEndError, NoAdmissibleAtomError, UnknownAtomError) as exc:
             trace.status = Status.aborted(m, f"{type(exc).__name__}: {exc}")
@@ -148,19 +153,23 @@ def reconstruct(trace: Trace) -> SparseVector:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# one trace row exactly as csv.writer writes it: no field of a step record
+# ever needs quoting, and every float goes out with 17 significant digits
+_CSV_ROW = "%d,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%s\r\n"
 
 
 def write_trace_csv(trace: Trace, path: str):
+    names = {}
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
+        write = fh.write
+        write(",".join(CSV_HEADER) + "\r\n")
         for r in trace.steps:
-            writer.writerow([
-                r.m, atom_id_str(r.atom.id), _fmt(r.c), _fmt(r.t), _fmt(r.ip),
-                _fmt(r.sup), _fmt(r.residual_norm), "" if r.block is None else r.block,
-            ])
+            aid = r.atom.id
+            name = names.get(aid)
+            if name is None:
+                name = names[aid] = atom_id_str(aid)
+            write(_CSV_ROW % (r.m, name, r.c, r.t, r.ip, r.sup, r.residual_norm,
+                              "" if r.block is None else r.block))
 
 
 def _record_from_row(row: dict) -> StepRecord:

@@ -4,8 +4,10 @@ are pinned, and counterexample plans pinned bit for bit.
 Each trace case builds its inputs from a seeded ``random.Random`` (whose
 ``random()`` stream is reproducible across Python versions) and runs through
 the CLI, so config parsing, selection and serialization are all covered. The
-expected SHA-256 of every trace CSV and the final status live in
-``tests/golden/traces.json``; a refactor that changes a single byte fails here.
+scripted replays take their plan from a max-greedy library run of the same
+inputs, so their pins also cover that run. The expected SHA-256 of every trace
+CSV and the final status live in ``tests/golden/traces.json``; a refactor that
+changes a single byte fails here.
 
 ``tests/golden/plans.json`` pins ``build_plan`` at 30 groups for a grid of t:
 the SHA-256 over every coefficient's ``float.hex``, every selection and every
@@ -17,6 +19,7 @@ Regenerate the pins only for an intended change of trace bytes or plans:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -26,9 +29,13 @@ import sys
 
 import pytest
 
+from greedyexp import engine
 from greedyexp.cli import main
+from greedyexp.core import SparseVector
 from greedyexp.counterexample import build_plan, default_config, run_counterexample
+from greedyexp.dictionaries import atom_id_str, dictionary_from_config
 from greedyexp.engine import trace_to_json_obj, write_trace_csv
+from greedyexp.sequences import coefficients_from_config, weakening_from_config
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "traces.json")
 PLANS_PATH = os.path.join(os.path.dirname(__file__), "golden", "plans.json")
@@ -151,9 +158,52 @@ def wide_configs():
     }
 
 
+def _max_greedy_plan(config, coefficients):
+    """The atom ids, as text, that a max-greedy run of config picks when it
+    runs under the given coefficients instead of its own."""
+    trace = engine.run(SparseVector.from_json(config["target"]["inline"]),
+                       dictionary_from_config(config["dictionary"]),
+                       coefficients_from_config(coefficients),
+                       weakening_from_config(config["weakening"]),
+                       max_steps=config["max_steps"])
+    return [atom_id_str(r.atom.id) for r in trace.steps]
+
+
+def _scripted(config, plan_coefficients=None):
+    """config replayed by a scripted policy whose plan is a max-greedy run's atoms."""
+    plan = _max_greedy_plan(config, plan_coefficients or config["coefficients"])
+    return {**config, "policy": {"kind": "scripted", "atoms": plan}}
+
+
+# cached: each plan is a whole max-greedy run; produce() copies a config
+# before it adds the outputs
+@functools.lru_cache(maxsize=None)
+def _scripted_configs():
+    """Scripted replays at t = 0.7 over a direct sum of pushforward, finite
+    and augmented blocks and over a finite dictionary: the whole max-greedy
+    plan, and over the direct sum also the plan of a harmonic run replayed
+    under power coefficients, which aborts once an atom falls below t*sup."""
+    rng = random.Random(20261020)
+    power = {"kind": "power", "alpha": 0.75, "scale": 0.5}
+    blocks = dict(target=_block_target(rng, [6, 8, 7]),
+                  dictionary={"kind": "direct_sum", "components": [
+                      {"kind": "pushforward", "base": _augmented_spec(rng, 3, 4),
+                       "matrix": _orthogonal(rng, 5)},
+                      _finite_spec(rng, 6, 6), _augmented_spec(rng, 3, 5)]},
+                  coefficients=power, weakening=_t(0.7), max_steps=300)
+    finite = dict(target=_random_target(rng, 6), dictionary=_finite_spec(rng, 10, 6),
+                  coefficients={"kind": "power", "alpha": 0.8}, weakening=_t(0.7),
+                  max_steps=250)
+    return {
+        "scripted_direct_sum_t07": _scripted(blocks),
+        "scripted_direct_sum_abort": _scripted(blocks, {"kind": "harmonic"}),
+        "scripted_finite_t07": _scripted(finite),
+    }
+
+
 def run_configs():
     """name -> run config (without outputs), every input seeded."""
-    return {**_small_configs(), **wide_configs()}
+    return {**_small_configs(), **wide_configs(), **_scripted_configs()}
 
 
 def _small_configs():
