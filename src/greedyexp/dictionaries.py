@@ -1,10 +1,11 @@
 """Symmetric dictionaries: selection oracles and the standard constructors.
 
 A dictionary answers two queries: the supremum of inner products against a
-vector (with the atom attaining it, unless the caller passes witness=False),
-and the realization of an atom id. All constructed dictionaries are symmetric
-(closed under negation). Tie-breaking is by the smallest atom id under a fixed
-total order so that traces are reproducible bit for bit.
+vector (with the atom attaining it), and the realization of an atom id. All
+constructed dictionaries are symmetric (closed under negation). Tie-breaking
+is by the smallest atom id under a fixed total order so that traces are
+reproducible bit for bit. The symmetrized basis can also give the sup alone,
+for a policy that never reads the witness.
 
 Every dictionary but a direct sum is one description: a materialized `head` of
 atoms plus, unless `tail_start` is None, the untouched signed basis on indices
@@ -121,17 +122,14 @@ def basis_atom(index: int, sign: float) -> Atom:
     return Atom(("e", rank, index), SparseVector({index: 1.0 if sign > 0 else -1.0}))
 
 
-def _best(candidates: list, witness: bool = True) -> tuple:
+def _best(candidates: list) -> tuple:
     """The exact largest value, paired with the smallest-id atom that comes
-    within WITNESS_BAND of it, or with None when witness is False."""
+    within WITNESS_BAND of it."""
     if not candidates:
         raise EmptyVectorError("sup over a symmetric dictionary needs a nonzero vector")
     if len(candidates) == 1:
-        return candidates[0] if witness else (candidates[0][0], None)
+        return candidates[0]
     top = max(value for value, _ in candidates)
-    # a NaN top fails below as it does when the witness is wanted
-    if not witness and top == top:
-        return top, None
     winner = min((atom for value, atom in candidates if value >= top - WITNESS_BAND),
                  key=lambda a: a.id)
     return top, winner
@@ -166,11 +164,11 @@ class _DenseHead:
         self.factor = 2 * (d + 4) * 2.0 ** -53
         self.floor = 2 * (d + 2) * 2.0 ** -1074
 
-    def rows(self, f: SparseVector, tail_top: float, band: float = WITNESS_BAND):
+    def rows(self, f: SparseVector, tail_top: float):
         """Indices, in head order, of the rows whose fsum score can reach the
-        best certified lower end, or tail_top, minus band: the top row and
-        every row within the band of the sup. Every row when a bound is not
-        finite or a score could overflow."""
+        best certified lower end, or tail_top, minus WITNESS_BAND: the top row
+        and every row within the band of the sup. Every row when a bound is
+        not finite or a score could overflow."""
         n = len(self.columns)
         x = np.fromiter(map(f._entries.get, self.columns, repeat(0.0, n)), float, n)
         # a non-finite remainder is scored like any other, without a warning
@@ -182,13 +180,13 @@ class _DenseHead:
             return range(len(est))
         err = magnitude * self.factor + self.floor
         # rounding is monotone, so est - err stays below each score, est + err
-        # above it, and the threshold below the sup minus band
-        threshold = max(float((est - err).max()), tail_top) - band
+        # above it, and the threshold below the sup minus WITNESS_BAND
+        threshold = max(float((est - err).max()), tail_top) - WITNESS_BAND
         return np.flatnonzero(est + err >= threshold).tolist()
 
 
 def _select(f: SparseVector, head: Sequence[Atom], tail_start: Optional[int],
-            dense: Optional[_DenseHead] = None, witness: bool = True) -> tuple:
+            dense: Optional[_DenseHead] = None) -> tuple:
     """sup_inner over the head atoms plus, unless tail_start is None, the signed
     basis on indices >= tail_start. Ties resolve in two stages: the basis tail
     picks its own witness first, then _best decides between it and the head.
@@ -200,35 +198,22 @@ def _select(f: SparseVector, head: Sequence[Atom], tail_start: Optional[int],
     that can reach the sup or its witness band are scored with `inner`. Those
     include the top row and every row within the band, kept in head order, so
     _best returns the value and witness a full scan gives, bit for bit. Only
-    an empty head comes without its dense form.
-
-    With witness False the answer is (sup, None): the tail gives its top
-    alone, and the screen keeps only the rows that can reach the sup itself.
-    Every row whose score equals the sup is among them, in the same order,
-    so the max over them is the witness query's sup bit for bit, signed
-    zeros included."""
+    an empty head comes without its dense form."""
     tail = None
     if tail_start is not None:
-        if witness:
-            peak = tail_peak(f, tail_start, WITNESS_BAND)
-            if peak is not None:
-                top, near = peak
-                rank, i = min((0 if x > 0 else 1, i) for i, x in near)
-                # i is one of f's entries, so its index needs no validation
-                tail = (top, Atom(("e", rank, i),
-                                  SparseVector._trusted({i: -1.0 if rank else 1.0})))
-        else:
-            top = tail_top(f, tail_start)
-            if top is not None:
-                tail = (top, None)
+        peak = tail_peak(f, tail_start, WITNESS_BAND)
+        if peak is not None:
+            top, near = peak
+            rank, i = min((0 if x > 0 else 1, i) for i, x in near)
+            # i is one of f's entries, so its index needs no validation
+            tail = (top, Atom(("e", rank, i), SparseVector._trusted({i: -1.0 if rank else 1.0})))
     candidates = []
     if head and not f.is_zero():
-        rows = dense.rows(f, -math.inf if tail is None else tail[0],
-                          WITNESS_BAND if witness else 0.0)
+        rows = dense.rows(f, -math.inf if tail is None else tail[0])
         candidates = [(inner(f, head[k].vector), head[k]) for k in rows]
     if tail is not None:
         candidates.append(tail)
-    return _best(candidates, witness)
+    return _best(candidates)
 
 
 def _well_formed(aid) -> bool:
@@ -263,15 +248,20 @@ def _realize(aid, head_by_id: dict, tail_start: Optional[int], what: str) -> Ato
 
 
 class Dictionary(ABC):
-    """Selection oracle over a symmetric set of unit-norm atoms."""
+    """Selection oracle over a symmetric set of unit-norm atoms.
+
+    A dictionary whose witness_optional is True also answers
+    sup_inner(f, witness=False) with (sup, None), the same sup bit for bit.
+    The engine asks that only of such a dictionary, and only for a policy that
+    never reads the witness; every other call passes f alone."""
 
     kind: str
+    witness_optional = False
 
     @abstractmethod
-    def sup_inner(self, f: SparseVector, witness: bool = True) -> tuple:
+    def sup_inner(self, f: SparseVector) -> tuple:
         """Exact max of <f, g> over atoms g, with the smallest-id atom whose
-        inner product comes within WITNESS_BAND of it; with witness False,
-        the same max, bit for bit, with None."""
+        inner product comes within WITNESS_BAND of it."""
 
     @abstractmethod
     def realize(self, aid: AtomId) -> Atom:
@@ -284,9 +274,15 @@ class SymmetrizedOnb(Dictionary):
     kind = "symmetrized_onb"
     head = ()
     tail_start = 1
+    witness_optional = True
 
     def sup_inner(self, f: SparseVector, witness: bool = True) -> tuple:
-        return _select(f, (), 1, None, witness)
+        if witness:
+            return _select(f, (), 1)
+        # the witness query's sup is the tail's top, and _best raises its
+        # error on a zero vector
+        top = tail_top(f, 1)
+        return _best([] if top is None else [(top, None)])
 
     def realize(self, aid: AtomId) -> Atom:
         return _realize(aid, {}, 1, "a signed basis atom")
@@ -331,8 +327,8 @@ class FiniteDictionary(Dictionary):
         self._atoms_by_id = {a.id: a for a in self.atoms}
         self._dense = _DenseHead(self.head)
 
-    def sup_inner(self, f: SparseVector, witness: bool = True) -> tuple:
-        return _select(f, self.atoms, None, self._dense, witness)
+    def sup_inner(self, f: SparseVector) -> tuple:
+        return _select(f, self.atoms, None, self._dense)
 
     def realize(self, aid: AtomId) -> Atom:
         return _realize(aid, self._atoms_by_id, None, "an atom of this finite dictionary")
@@ -364,8 +360,8 @@ class AugmentedOnb(Dictionary):
         self._extras_by_id = {a.id: a for a in self.extras}
         self._dense = _DenseHead(self.head)
 
-    def sup_inner(self, f: SparseVector, witness: bool = True) -> tuple:
-        return _select(f, self.extras, 1, self._dense, witness)
+    def sup_inner(self, f: SparseVector) -> tuple:
+        return _select(f, self.extras, 1, self._dense)
 
     def realize(self, aid: AtomId) -> Atom:
         return _realize(aid, self._extras_by_id, 1, "an atom of this augmented basis")
@@ -397,13 +393,11 @@ class DirectSumDictionary(Dictionary):
             raise ConfigInvalidError("direct sums cannot be nested")
         self.components = list(components)
 
-    def sup_inner(self, f: SparseVector, witness: bool = True) -> tuple:
+    def sup_inner(self, f: SparseVector) -> tuple:
         """Each nonzero block's lifted (value, atom), in block order, then _best.
         A block's answer is memoized beside its restriction, keyed by this
         dictionary; a step shares the restrictions it leaves untouched, so
-        only the block it touched is selected in again. With witness False
-        the blocks are asked for their sup alone and the memo holds (value,
-        None), which a query that wants a witness treats as a miss."""
+        only the block it touched is selected in again."""
         parts = block_parts(f)
         candidates = []
         for l, comp in enumerate(self.components, start=1):
@@ -412,14 +406,11 @@ class DirectSumDictionary(Dictionary):
                 continue
             fl, memo = part
             best = memo.get(self)
-            if witness:
-                if best is None or best[1] is None:
-                    value, atom = comp.sup_inner(fl)
-                    best = memo[self] = (value, _lift(l, atom))
-            elif best is None:
-                best = memo[self] = (comp.sup_inner(fl, witness=False)[0], None)
+            if best is None:
+                value, atom = comp.sup_inner(fl)
+                best = memo[self] = (value, _lift(l, atom))
             candidates.append(best)
-        return _best(candidates, witness)
+        return _best(candidates)
 
     def realize(self, aid: AtomId) -> Atom:
         if _well_formed(aid) and aid[0] == "b" and aid[1] <= len(self.components):
@@ -483,8 +474,8 @@ class PushforwardDictionary(Dictionary):
         self._head_by_id = {a.id: a for a in self.head}
         self._dense = _DenseHead(self.head)
 
-    def sup_inner(self, f: SparseVector, witness: bool = True) -> tuple:
-        return _select(f, self.head, self.tail_start, self._dense, witness)
+    def sup_inner(self, f: SparseVector) -> tuple:
+        return _select(f, self.head, self.tail_start, self._dense)
 
     def realize(self, aid: AtomId) -> Atom:
         return _realize(aid, self._head_by_id, self.tail_start, "an atom of this pushforward")
@@ -516,8 +507,8 @@ class Scripted:
     """Replay a fixed atom plan, validating admissibility at every step.
 
     needs_witness is False: choose checks the planned atom against t*sup and
-    never reads its witness argument, so the engine asks the dictionary for
-    the sup alone and hands choose None as the witness."""
+    never reads its witness argument, so on a dictionary that can skip it the
+    engine asks for the sup alone and hands choose None as the witness."""
 
     needs_witness = False
 

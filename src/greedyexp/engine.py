@@ -103,8 +103,10 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
     if stop_below is not None and math.isnan(stop_below):
         raise ConfigInvalidError("stop_below must not be NaN")
     policy = policy if policy is not None else MaxGreedy()
-    # a policy that never reads the witness spares the dictionary finding it
-    needs_witness = getattr(policy, "needs_witness", True)
+    # a policy that never reads the witness spares a dictionary that can give
+    # the sup alone the search for it; any other pair passes the vector alone
+    sup_alone = (not getattr(policy, "needs_witness", True)
+                 and getattr(dictionary, "witness_optional", False))
     remainder = SparseVector._trusted(dict(f._entries))
     trace = Trace(initial_norm=norm(f), max_steps=max_steps)
     if not math.isfinite(trace.initial_norm):
@@ -116,10 +118,10 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
         try:
             c = coefficients.eval(m)
             t = weakening.eval(m)
-            if needs_witness:
-                sup, witness = dictionary.sup_inner(remainder)
-            else:
+            if sup_alone:
                 sup, witness = dictionary.sup_inner(remainder, witness=False)
+            else:
+                sup, witness = dictionary.sup_inner(remainder)
             atom = policy.choose(m, dictionary, remainder, t, sup, witness)
         except (IndexPastEndError, NoAdmissibleAtomError, UnknownAtomError) as exc:
             trace.status = Status.aborted(m, f"{type(exc).__name__}: {exc}")

@@ -1,12 +1,14 @@
 """Witness-free selection for policies that never read the witness.
 
-A policy with ``needs_witness = False`` (``Scripted``) makes the engine ask
-``sup_inner(f, witness=False)``: the sup alone, with None for the atom. These
-tests pin that this sup is the witness query's sup bit for bit, on every
-dictionary kind, standalone and as direct-sum blocks, with memos filled by
-either mode; that a policy that wants the witness still gets it through the
-one-argument call; that scripted atom ids with bool indices are unknown
-atoms; and that the trace writer's bytes are csv.writer's.
+A policy with ``needs_witness = False`` (``Scripted``) makes the engine ask a
+dictionary with ``witness_optional = True`` (the symmetrized basis) for
+``sup_inner(f, witness=False)``: the sup alone, with None for the atom. Every
+other dictionary, a user's one-argument dictionary among them, is asked
+``sup_inner(f)`` under every policy. These tests pin that the basis's
+witness-free sup is its witness query's sup bit for bit, also on heaps
+carried through steps and parents queried again; who is asked for what; that
+scripted atom ids with bool indices are unknown atoms; and that the trace
+writer's bytes are csv.writer's.
 """
 
 import csv
@@ -15,17 +17,18 @@ import io
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_blocks import STEPS, SUMS, TARGETS, atom_of
 from test_incremental import TIED, tied_vector
-from test_screen import DIM, PLAIN, aligned, heads, orthogonal, remainders
+from test_screen import PLAIN, orthogonal, remainders
 
 import greedyexp.dictionaries as dictionaries
 from greedyexp.core import SparseVector, subtract_scaled
 from greedyexp.counterexample import build_plan, build_target, default_config, run_plan
 from greedyexp.dictionaries import (
     Atom,
+    Dictionary,
     MaxGreedy,
     Scripted,
+    atom_id_str,
     direct_sum,
     make_augmented_onb,
     make_finite,
@@ -37,147 +40,87 @@ from greedyexp.errors import GreedyExpansionError, UnknownAtomError
 from greedyexp.sequences import ConstantWeakening, Harmonic, Power
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+ONB = make_symmetrized_onb()
 
 
-def answer(dictionary, f, witness):
-    """(sup as hex, witness id or None) of one query, or the exception type it raises."""
+def answer(f, witness):
+    """(sup as hex, witness id or None) of one basis query, or the exception
+    type it raises."""
     try:
         if witness:
-            value, atom = dictionary.sup_inner(f)
+            value, atom = ONB.sup_inner(f)
         else:
-            value, atom = dictionary.sup_inner(f, witness=False)
-    except (GreedyExpansionError, OverflowError, ValueError) as exc:
+            value, atom = ONB.sup_inner(f, witness=False)
+    except GreedyExpansionError as exc:
         return type(exc)
     return value.hex(), None if atom is None else atom.id
 
 
-def assert_sup_alone_matches(dictionary, f):
+def assert_sup_alone_matches(f):
     """witness=False gives a fresh witness query's sup bit for bit, and None,
-    on f as it stands and on copies whose memos one mode fills and the other
-    reads; a witness query after a witness-free one still finds the witness."""
-    expected = answer(dictionary, SparseVector(dict(f.items())), True)
+    on f as it stands and on copies where either mode reads the heap first."""
+    expected = answer(SparseVector(dict(f.items())), True)
     alone = expected if isinstance(expected, type) else (expected[0], None)
-    assert answer(dictionary, f, False) == alone
-    assert answer(dictionary, f, True) == expected
+    assert answer(f, False) == alone
+    assert answer(f, True) == expected
     g = SparseVector(dict(f.items()))
-    assert answer(dictionary, g, False) == alone
-    assert answer(dictionary, g, True) == expected
-    assert answer(dictionary, g, False) == alone
+    assert answer(g, False) == alone
+    assert answer(g, True) == expected
+    assert answer(g, False) == alone
     h = SparseVector(dict(f.items()))
-    assert answer(dictionary, h, True) == expected
-    assert answer(dictionary, h, False) == alone
+    assert answer(h, True) == expected
+    assert answer(h, False) == alone
+
+
+def test_only_the_basis_gives_the_sup_alone():
+    assert Dictionary.witness_optional is False
+    assert ONB.witness_optional is True
+    head = [SparseVector({1: 1.0, 2: 1.0})]
+    for d in (make_finite(head), make_augmented_onb(head, [1, 2]),
+              pushforward(make_finite(head), orthogonal(0, 2)), direct_sum([ONB, ONB])):
+        assert d.witness_optional is False
 
 
 # ---------------------------------------------------------------------------
-# every dictionary kind, on the screen's near-ties and scales
+# the basis's sup alone, on near-ties, scales and carried heaps
 # ---------------------------------------------------------------------------
 
 @PROPERTY
-@given(heads(), remainders(PLAIN + [(1, 1), (2, 3)]))
-def test_finite_sup_alone_equals_witness_sup(head, f):
-    assert_sup_alone_matches(make_finite(head), f)
-
-
-@PROPERTY
-@given(heads(), remainders(PLAIN), st.floats(min_value=1.0, max_value=4.0))
-def test_augmented_sup_alone_equals_witness_sup(head, f, tail_boost):
-    d = make_augmented_onb(head, range(1, DIM + 1))
-    assert_sup_alone_matches(d, f)
-    top = max((abs(x) for _, x in f.items()), default=1.0)
-    for value in (top * tail_boost, top, top + 1e-13, -top):
-        assert_sup_alone_matches(d, SparseVector({**dict(f.items()), DIM + 2: value}))
-
-
-@PROPERTY
-@given(heads(), remainders(PLAIN), st.integers(0, 2 ** 32 - 1), st.booleans())
-def test_pushforward_sup_alone_equals_witness_sup(head, f, seed, augmented):
-    base = make_augmented_onb(head, range(1, DIM + 1)) if augmented else make_finite(head)
-    assert_sup_alone_matches(pushforward(base, orthogonal(seed, DIM + 1)), f)
-
-
-@PROPERTY
-@given(heads(), heads(), st.integers(0, 2 ** 32 - 1),
-       remainders([(b, i) for b in (1, 2, 3, 4) for i in PLAIN]))
-def test_direct_sum_sup_alone_equals_witness_sup(first, second, seed, f):
-    d = direct_sum([make_finite(first), make_augmented_onb(second, range(1, DIM + 1)),
-                    pushforward(make_finite(second), orthogonal(seed, DIM)),
-                    make_symmetrized_onb()])
-    assert_sup_alone_matches(d, f)
-
-
-@PROPERTY
-@given(aligned())
-def test_aligned_sup_alone_equals_witness_sup(case):
-    head, f = case
-    for d in (make_finite(head), make_augmented_onb(head, range(1, 25))):
-        assert_sup_alone_matches(d, f)
+@given(remainders(PLAIN))
+def test_sup_alone_equals_witness_sup(f):
+    assert_sup_alone_matches(f)
 
 
 @pytest.mark.parametrize("entries", [
     {1: 1e-320, 2: -1e-320},
     {1: 1e308, 2: 1e308},
+    {1: -0.0, 2: 0.0},
     {1: float("inf"), 2: 0.5},
     {1: float("nan"), 2: 0.5},
     {7: 1.0},
     {},
 ])
 def test_extreme_remainders_agree(entries):
-    atoms = [SparseVector({1: 1.0, 2: 1.0}), SparseVector({1: 0.6, 2: -0.8})]
-    for d in (make_finite(atoms), make_augmented_onb(atoms, [1, 2]), make_symmetrized_onb()):
-        assert_sup_alone_matches(d, SparseVector(entries))
+    assert_sup_alone_matches(SparseVector(entries))
 
-
-def test_signed_zero_sup_keeps_its_sign():
-    # every score is a zero; the witness query's max keeps the first one's sign
-    d = make_finite([SparseVector({1: 1.0}), SparseVector({2: 1.0})])
-    for f in (SparseVector({3: 1.0}), SparseVector({1: 1e-200, 2: 1e-200})):
-        assert_sup_alone_matches(d, f)
-
-
-# ---------------------------------------------------------------------------
-# basis tails carried through steps, parents queried again
-# ---------------------------------------------------------------------------
 
 @PROPERTY
 @given(st.floats(min_value=1e-3, max_value=10.0), TIED, TIED)
 def test_carried_heaps_give_the_same_sup(base, draws, updates):
-    dictionaries_ = (make_symmetrized_onb(),
-                     make_augmented_onb([SparseVector({1: 0.6, 2: 0.8})], [1, 2]))
     f = tied_vector(base, draws)
     kept = [f]
     for i, level, gap, sign in updates[:12]:
-        for d in dictionaries_:
-            assert_sup_alone_matches(d, f)
+        assert_sup_alone_matches(f)
         new = tied_vector(base, [(i, level, gap, sign)]).get(i) if level else 0.0
         f = subtract_scaled(f, 1.0, SparseVector({i: f.get(i) - new}))
         kept.append(f)
     # parents asked again after their heaps went to their children
     for g in kept:
-        for d in dictionaries_:
-            assert_sup_alone_matches(d, g)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(TARGETS, STEPS, st.lists(st.booleans(), min_size=26, max_size=26))
-def test_carried_block_memos_give_the_same_sup(target, steps, modes):
-    """Steps carry restrictions and memos over; each remainder is first asked
-    in one mode, so the other mode reads the memo it left."""
-    f = SparseVector(target)
-    kept = [f]
-    for (kind, block, pick, c, query_first), witness in zip(steps, modes):
-        if query_first:
-            for d in SUMS:
-                answer(d, f, witness)
-        a = atom_of(kind, block, pick, f)
-        f = subtract_scaled(f, 1.0 if kind == "clear" else c, a)
-        kept.append(f)
-    for g in [f] + kept[::3]:
-        for d in SUMS:
-            assert_sup_alone_matches(d, g)
+        assert_sup_alone_matches(g)
 
 
 # ---------------------------------------------------------------------------
-# the engine: who gets a witness, and what a scripted replay skips
+# the engine: who is asked for what, and what a scripted replay skips
 # ---------------------------------------------------------------------------
 
 class Witnessed(Scripted):
@@ -214,8 +157,10 @@ def test_counterexample_replay_never_walks_the_witness_band(monkeypatch):
     assert records(witnessed) == records(trace)
 
 
-class OneArgument:
-    """A user dictionary whose sup_inner takes the vector alone."""
+class OneArgument(Dictionary):
+    """A user dictionary written to the one-argument sup_inner."""
+
+    kind = "one_argument"
 
     def __init__(self, inner):
         self.inner, self.calls = inner, 0
@@ -241,17 +186,41 @@ class Plain:
 
 def test_policy_without_needs_witness_receives_the_witness():
     target = SparseVector({1: 0.5, 2: -0.75, 3: 0.25, 4: 0.75 - 1e-13})
-    d = OneArgument(make_augmented_onb([SparseVector({1: 0.6, 2: -0.8})], [1, 2]))
     policy = Plain()
-    trace = run(target, d, Harmonic(), ConstantWeakening(1.0), policy=policy, max_steps=40)
-    assert d.calls == len(trace.steps) == 40
+    trace = run(target, make_symmetrized_onb(), Harmonic(), ConstantWeakening(1.0),
+                policy=policy, max_steps=40)
+    assert len(policy.witnesses) == len(trace.steps) == 40
     assert all(isinstance(w, Atom) for w in policy.witnesses)
-    greedy = run(target, d.inner, Harmonic(), ConstantWeakening(1.0), policy=MaxGreedy(),
-                 max_steps=40)
-    assert [r.atom.id for r in trace.steps] == [r.atom.id for r in greedy.steps]
+    greedy = run(target, make_symmetrized_onb(), Harmonic(), ConstantWeakening(1.0),
+                 policy=MaxGreedy(), max_steps=40)
+    assert records(trace) == records(greedy)
 
 
-def test_scripted_choose_is_handed_no_witness():
+@pytest.mark.parametrize("wrap", [
+    lambda onb: OneArgument(onb),
+    lambda onb: direct_sum([OneArgument(onb), make_finite([SparseVector({1: 1.0})])]),
+], ids=["standalone", "direct_sum_block"])
+def test_one_argument_dictionary_replays_a_script(wrap):
+    """A dictionary that predates the witness flag is asked for the witness
+    under Scripted too, and the replay records what the basis's does."""
+    onb = make_symmetrized_onb()
+    d = wrap(onb)
+    user = d if isinstance(d, OneArgument) else d.components[0]
+    plan = build_plan(default_config(0.5, 3))
+    selections = plan.selections
+    target = build_target(plan.config)
+    if user is not d:
+        selections = [("b", 1, aid) for aid in selections]
+        target = SparseVector({(1, i): x for i, x in target.items()})
+    trace = run(target, d, plan.coefficients, ConstantWeakening(0.5),
+                policy=Scripted(selections), max_steps=len(plan) + 1)
+    assert user.calls == len(trace.steps) == len(plan)
+    replay = run_plan(plan)
+    assert trace.status == replay.status
+    assert [r.sup.hex() for r in trace.steps] == [r.sup.hex() for r in replay.steps]
+
+
+def test_scripted_choose_is_handed_no_witness_by_the_basis_only():
     seen = []
 
     class Spy(Scripted):
@@ -263,6 +232,10 @@ def test_scripted_choose_is_handed_no_witness():
     run(target, make_symmetrized_onb(), Power(1.0), ConstantWeakening(0.5),
         policy=Spy(["+e1", "+e2"]), max_steps=2)
     assert seen == [None, None]
+    # a head dictionary keeps finding its witness, which Scripted ignores
+    run(target, make_augmented_onb([SparseVector({1: 0.6, 2: 0.8})], [1, 2]), Power(1.0),
+        ConstantWeakening(0.5), policy=Spy(["+e1", "+e2"]), max_steps=2)
+    assert [atom_id_str(w.id) for w in seen[2:]] == ["+e1", "+e2"]
 
 
 # ---------------------------------------------------------------------------
