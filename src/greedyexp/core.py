@@ -5,9 +5,17 @@ integers or, inside a direct sum, by (block, inner) pairs. Entries that become
 exactly 0.0 are dropped, so deliberate annihilation empties the support; no
 tolerance is ever applied when canonicalizing.
 
-A remainder step v - c*a costs O(|support of a| * log n) plus one C-level copy
-of v's entry dict, because the result inherits two caches from v and updates
-them on a's coordinates only:
+A remainder step v - c*a costs O(|support of a| * log n) and copies nothing:
+the result takes over v's entry dict and updates it in place on a's
+coordinates. v keeps a reverse diff instead (a's indices, their old values and
+a link to the result) and becomes a ``_Handed`` vector, which rebuilds a dict
+of its own the first time its entries are read: it copies the live end of its
+chain of successors and undoes their steps back to itself. A stale vector is
+rebuilt as its own copy, never re-rooted (unlike Baker's shallow binding), so a
+read never changes another vector's dict. ``support()`` and ``items()`` return
+snapshots, and a handed-over vector knows its support size without a rebuild.
+The result also inherits two caches from v and updates them on a's
+coordinates only:
 
 - the exact sum of the squares fl(x*x), an int in units of 2**-1074. Every
   finite square is such a multiple, and int / int rounds correctly, just as
@@ -27,7 +35,9 @@ the same ``old - c*x`` update and with their heaps handed over but no square
 sum, which nothing asks of them, and shares the other restrictions and their
 memos with the result unchanged.
 
-These caches are invisible: vectors stay immutable and compare by entries only.
+These caches and the handover are invisible: vectors stay immutable and compare
+by entries only. They are not thread-safe: reading a kept vector in one thread
+while another steps its successor is a data race.
 """
 
 from __future__ import annotations
@@ -69,7 +79,8 @@ def index_key(index: Index) -> Tuple[int, int, int]:
 class SparseVector:
     """Immutable finitely-supported vector; stored entries are never exactly zero."""
 
-    __slots__ = ("_entries", "_square_sum", "_heap", "_blocks")
+    # _undo is set only while a step has taken the entry dict over (_Handed)
+    __slots__ = ("_entries", "_square_sum", "_heap", "_blocks", "_undo")
 
     def __init__(self, entries: dict | None = None):
         clean = {}
@@ -112,13 +123,14 @@ class SparseVector:
         return cls(entries)
 
     def items(self) -> Iterator[Tuple[Index, float]]:
-        return iter(self._entries.items())
+        # a snapshot, like support(): a later step may take the dict over
+        return iter(self._entries.copy().items())
 
     def get(self, index: Index) -> float:
         return self._entries.get(index, 0.0)
 
     def support(self):
-        return self._entries.keys()
+        return self._entries.copy().keys()
 
     def support_size(self) -> int:
         return len(self._entries)
@@ -160,11 +172,52 @@ class SparseVector:
         return f"SparseVector({{{inside}}})"
 
 
-# the slot setters, which bypass the immutability guard in __setattr__
+# slot and class setters (and slot deleters), which bypass the immutability
+# guard in __setattr__
 _set_entries = SparseVector.__dict__["_entries"].__set__
 _set_square_sum = SparseVector.__dict__["_square_sum"].__set__
 _set_heap = SparseVector.__dict__["_heap"].__set__
 _set_blocks = SparseVector.__dict__["_blocks"].__set__
+_set_undo = SparseVector.__dict__["_undo"].__set__
+_del_entries = SparseVector.__dict__["_entries"].__delete__
+_del_undo = SparseVector.__dict__["_undo"].__delete__
+_set_class = object.__dict__["__class__"].__set__
+
+
+class _Handed(SparseVector):
+    """A vector whose entry dict a step has taken over. Its _undo holds
+    (successor, [(index, old value)], support size): the step's reverse diff.
+
+    The first read of _entries copies the dict at the live end of the chain of
+    successors, undoes each step on the copy back to this vector, adopts it and
+    turns this vector back into a plain SparseVector. The hook sits here, not
+    on SparseVector, whose slot reads it would slow down."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name != "_entries":
+            raise AttributeError(name)
+        diffs = []
+        u = self
+        while type(u) is _Handed:
+            u, undo, _ = u._undo
+            diffs.append(undo)
+        entries = u._entries.copy()
+        for undo in reversed(diffs):
+            # one step's indices are distinct; an old 0.0 was no entry
+            for i, old in undo:
+                if old == 0.0:
+                    entries.pop(i, None)
+                else:
+                    entries[i] = old
+        _set_entries(self, entries)
+        _del_undo(self)
+        _set_class(self, SparseVector)
+        return entries
+
+    def support_size(self) -> int:
+        return self._undo[2]
 
 
 def block_parts(v: SparseVector) -> dict:
@@ -218,16 +271,22 @@ def _exact_square_sum(v: SparseVector):
 def subtract_scaled(v: SparseVector, c: float, a: SparseVector) -> SparseVector:
     """v - c*a, re-canonicalized: entries that cancel exactly are removed.
 
-    The result carries v's square sum, updated on a's coordinates, and takes
-    over v's magnitude heap with a node pushed for every changed tail entry.
-    When v's block restrictions are built, the result gets them too: each
-    block a touches is stepped the same way, every other one is shared."""
+    The result takes over v's entry dict, updated on a's coordinates, and v
+    keeps only the undo record that rebuilds it if it is read again. The
+    result carries v's square sum, updated the same way, and takes over v's
+    magnitude heap with a node pushed for every changed tail entry. When v's
+    block restrictions are built, the result gets them too: each block a
+    touches is stepped the same way, every other one is shared."""
     c = float(c)
-    w = _step(v, c, a._entries.items(), _exact_square_sum(v))
+    pairs = a._entries.items()
+    if a is v:
+        # the step updates this very dict: read the atom first
+        pairs = list(pairs)
+    w = _step(v, c, pairs, _exact_square_sum(v))
     parts = v._blocks
     if parts is not None:
         touched = {}
-        for i, x in a._entries.items():
+        for i, x in pairs:
             if isinstance(i, tuple):
                 touched.setdefault(i[0], []).append((i[1], x))
         if touched:
@@ -245,15 +304,19 @@ def subtract_scaled(v: SparseVector, c: float, a: SparseVector) -> SparseVector:
 
 def _step(v: SparseVector, c: float, pairs, total) -> SparseVector:
     """v - c*a over a's (index, value) pairs, with v's square sum total (None
-    to keep none) and v's magnitude heap carried over."""
-    entries = dict(v._entries)
+    to keep none). The result takes over v's entry dict and magnitude heap;
+    v becomes a _Handed vector that records the old values."""
+    entries = v._entries
+    size = len(entries)
     heap = v._heap
     if heap is not None:
         _set_heap(v, None)
         start, nodes = heap
+    undo = []
     for i, x in pairs:
         old = entries.get(i, 0.0)
         new = old - c * x
+        undo.append((i, old))
         if new == 0.0:
             entries.pop(i, None)
         else:
@@ -261,11 +324,18 @@ def _step(v: SparseVector, c: float, pairs, total) -> SparseVector:
             if heap is not None and (start == 1 or i >= start):
                 heapq.heappush(nodes, (-abs(new), i))
         if total is not None:
+            # _units(new * new) - _units(old * old), inlined
             try:
-                total += _units(new * new) - _units(old * old)
+                n, d = (new * new).as_integer_ratio()
+                p, q = (old * old).as_integer_ratio()
+                total += (n << (1075 - d.bit_length())) - (p << (1075 - q.bit_length()))
             except (OverflowError, ValueError):
                 total = None
-    return SparseVector._trusted(entries, total, heap)
+    w = SparseVector._trusted(entries, total, heap)
+    _del_entries(v)
+    _set_undo(v, (w, undo, size))
+    _set_class(v, _Handed)
+    return w
 
 
 def _magnitude_heap(v: SparseVector, start: int) -> list:

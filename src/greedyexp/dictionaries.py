@@ -38,6 +38,7 @@ from .core import SparseVector, block_parts, index_key, inner, tail_peak, tail_t
 from .errors import (
     ConfigInvalidError,
     EmptyVectorError,
+    GreedyExpansionError,
     IndexPastEndError,
     NoAdmissibleAtomError,
     NotOrthogonalError,
@@ -131,7 +132,10 @@ def _best(candidates: list) -> tuple:
         return candidates[0]
     top = max(value for value, _ in candidates)
     winner = min((atom for value, atom in candidates if value >= top - WITNESS_BAND),
-                 key=lambda a: a.id)
+                 key=lambda a: a.id, default=None)
+    if winner is None:
+        # only a NaN top leaves no candidate within its band
+        raise GreedyExpansionError(f"sup is {top!r}: the vector has a NaN entry")
     return top, winner
 
 
@@ -374,7 +378,7 @@ def make_augmented_onb(extra: Sequence[SparseVector], e_prime: Iterable[int]) ->
 def _lift(block: int, atom: Atom) -> Atom:
     """A component atom as an atom of the direct sum, on block-indexed coordinates."""
     return Atom(("b", block, atom.id),
-                SparseVector._trusted({(block, i): v for i, v in atom.vector.items()}))
+                SparseVector._trusted({(block, i): v for i, v in atom.vector._entries.items()}))
 
 
 class DirectSumDictionary(Dictionary):

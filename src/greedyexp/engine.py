@@ -5,16 +5,17 @@ and records what happened. The stop rule fires only on an exactly empty
 remainder; budget truncation and early exits are recorded as Exhausted so that
 analysis never mistakes them for convergence.
 
-Every remainder is a new immutable vector, so a policy may keep the ones it is
-handed. On a basis tail a step still costs only O(|atom support| * log n) plus
-one C-level dict copy: ``subtract_scaled`` passes the remainder's exact square
-sum and its magnitude heap on to the next remainder (see ``core``), so the sup
-and the recorded residual norm, bit-identical to an fsum over all entries, need
-no pass over the support. Inside a direct sum it also passes on the block
-restrictions, with each block's memoized sup, and a step selects again only in
-the block its atom touched. A run starts from a private copy of the target, so
-it never fills or takes over the caller's caches and concurrent runs on one
-target share no mutable state.
+Every remainder reads as a new immutable vector, so a policy may keep the ones
+it is handed. On a basis tail a step still costs only O(|atom support| * log n)
+and copies nothing: ``subtract_scaled`` hands the remainder's entry dict, its
+exact square sum and its magnitude heap on to the next remainder, and a kept
+remainder rebuilds its own entries from a reverse diff only when it is read
+(see ``core``). So the sup and the recorded residual norm, bit-identical to an
+fsum over all entries, need no pass over the support. Inside a direct sum it
+also passes on the block restrictions, with each block's memoized sup, and a
+step selects again only in the block its atom touched. A run starts from a
+private copy of the target, so it never fills or takes over the caller's
+caches and concurrent runs on one target share no mutable state.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ trusted construction behind them.
 A step v - c*a carries v's square sum and magnitude heap to its result and
 updates them on a's coordinates only. These tests pin that the carried state
 gives what recomputing from the entries gives, bit for bit, and that the
-vectors a policy is handed stay as they were.
+vectors a policy is handed stay as they were, though each step takes their
+entry dict over.
 """
 
 import json
@@ -15,14 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedyexp.cli import main
-from greedyexp.core import SparseVector, _units, subtract_scaled, tail_peak
+from greedyexp.core import SparseVector, _units, index_key, subtract_scaled, tail_peak
 from greedyexp.dictionaries import (
     WITNESS_BAND,
     MaxGreedy,
     _select,
     basis_atom,
     dictionary_from_config,
+    direct_sum,
     make_augmented_onb,
+    make_finite,
     make_symmetrized_onb,
 )
 from greedyexp.engine import run
@@ -223,6 +226,133 @@ def test_handed_over_heap_is_rebuilt_for_the_parent():
     assert g._heap is not None and f._heap is None
     assert onb.sup_inner(g)[1].id == ("e", 1, 2)
     assert onb.sup_inner(f)[1].id == ("e", 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# a step takes the entry dict over; the parent rebuilds its own on a read
+# ---------------------------------------------------------------------------
+
+def test_views_taken_before_a_step_read_unchanged():
+    v = SparseVector({1: 0.5, 2: 0.25})
+    support, items = v.support(), v.items()
+    w = subtract_scaled(v, 1.0, SparseVector({1: 0.5}))
+    subtract_scaled(w, 1.0, SparseVector({3: 1.0}))
+    assert list(support) == [1, 2]
+    assert list(items) == [(1, 0.5), (2, 0.25)]
+
+
+def test_step_by_itself_reads_the_atom_first():
+    v = SparseVector({1: 0.5, 2: -0.25})
+    assert subtract_scaled(v, 0.5, v) == SparseVector({1: 0.25, 2: -0.125})
+    assert subtract_scaled(v, 1.0, v).is_zero()
+    assert dict(v.items()) == {1: 0.5, 2: -0.25}
+
+
+def test_handed_over_vector_gives_its_size_without_a_rebuild():
+    assert "__getattr__" not in SparseVector.__dict__
+    v = SparseVector({1: 0.5, 2: 0.25})
+    w = subtract_scaled(v, 1.0, SparseVector({1: 0.5}))
+    assert type(v) is not SparseVector
+    assert v.support_size() == 2 and w.support_size() == 1
+    assert type(v) is not SparseVector
+    assert dict(v.items()) == {1: 0.5, 2: 0.25}
+    assert type(v) is SparseVector
+
+
+HANDOVER_ATOMS = [SparseVector({1: 0.6, 2: 0.8}), SparseVector({2: 1.0, 3: -1.0})]
+# per kind of remainder: the coordinates it uses and the dictionary that reads it
+SPACES = {
+    "basis": (list(range(1, 9)), make_symmetrized_onb()),
+    "dense": (list(range(1, 9)), make_augmented_onb(HANDOVER_ATOMS, [1, 2, 3])),
+    "blocks": ([(b, i) for b in (1, 2, 3) for i in (1, 2, 3, 4)],
+               direct_sum([make_symmetrized_onb(), make_finite(HANDOVER_ATOMS),
+                           make_augmented_onb(HANDOVER_ATOMS, [1, 2, 3])])),
+}
+# dyadic values that cancel and tie, and floats that mostly do neither
+VALUES = st.one_of(st.sampled_from([0.5, -0.5, 1.0, -0.25, 0.75]),
+                   st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
+
+
+def sup_outcome(dictionary, v):
+    """(sup as hex, witness id) of v, or the type of the exception it raises."""
+    try:
+        value, witness = dictionary.sup_inner(v)
+    except EmptyVectorError as exc:
+        return type(exc)
+    return value.hex(), witness.id
+
+
+class Kept:
+    """A remainder and what it read when it was made. The snapshot is read
+    through a fresh copy, so the remainder's own caches stay as steps left
+    them; its support() and items() are taken now and read only later."""
+
+    def __init__(self, v, dictionary):
+        self.v = v
+        self.entries = dict(v.items())
+        fresh = SparseVector(self.entries)
+        self.norm = fresh.norm().hex()
+        self.sup = sup_outcome(dictionary, fresh)
+        self.early_support = v.support()
+        self.early_items = v.items()
+
+    def check(self, data, kind, dictionary):
+        v = self.v
+        handed = type(v) is not SparseVector
+        assert v.support_size() == len(self.entries)
+        assert (type(v) is not SparseVector) == handed
+        reads = [
+            lambda: dict(v.items()) == self.entries,
+            lambda: sorted(v.support(), key=index_key) == sorted(self.entries, key=index_key),
+            lambda: v.norm().hex() == self.norm,
+            lambda: sup_outcome(dictionary, v) == self.sup,
+            lambda: set(self.early_support) == set(self.entries),
+        ]
+        if self.early_items is not None:
+            items, self.early_items = self.early_items, None
+            reads.append(lambda: dict(items) == self.entries)
+        if kind == "blocks":
+            reads += [lambda l=l: dict(v.block_restriction(l).items())
+                      == {i: x for (b, i), x in self.entries.items() if b == l}
+                      for l in (1, 2, 3)]
+        for read in data.draw(st.permutations(reads)):
+            assert read()
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(SPACES)), st.data())
+def test_kept_remainders_read_as_made(kind, data):
+    """Random chains of steps, branching from any kept remainder, with reads of
+    kept remainders in between and of all of them, in random order, at the end."""
+    coords, dictionary = SPACES[kind]
+    start = data.draw(st.dictionaries(st.sampled_from(coords), VALUES, max_size=len(coords)))
+    kept = [Kept(SparseVector(start), dictionary)]
+    for _ in range(data.draw(st.integers(1, 25))):
+        k = data.draw(st.one_of(st.just(len(kept) - 1), st.integers(0, len(kept) - 1)))
+        old = kept[k]
+        op = data.draw(st.sampled_from(["step", "step", "cancel", "self", "read"]))
+        if op == "read":
+            old.check(data, kind, dictionary)
+            continue
+        if op == "step":
+            size = 1 if kind == "basis" else 4
+            atom = SparseVector(data.draw(st.dictionaries(
+                st.sampled_from(coords), VALUES, min_size=1, max_size=size)))
+            c = data.draw(VALUES)
+        elif op == "cancel":
+            # exact cancellation of some entries, or of a whole block
+            present = sorted(old.entries, key=index_key)
+            if kind == "blocks" and data.draw(st.booleans()):
+                block = data.draw(st.integers(1, 3))
+                chosen = [i for i in present if i[0] == block]
+            else:
+                chosen = data.draw(st.lists(st.sampled_from(present), max_size=3)) if present else []
+            atom, c = SparseVector({i: old.entries[i] for i in chosen}), 1.0
+        else:
+            atom, c = old.v, data.draw(st.one_of(st.just(1.0), VALUES))
+        kept.append(Kept(subtract_scaled(old.v, c, atom), dictionary))
+    for k in data.draw(st.permutations(range(len(kept)))):
+        kept[k].check(data, kind, dictionary)
 
 
 # ---------------------------------------------------------------------------

@@ -241,3 +241,9 @@ def test_non_finite_remainders_match_the_scan(entries, all_rows):
     f = SparseVector(entries)
     assert outcome(lambda: d.sup_inner(f)) == outcome(lambda: plain_scan(d, f))
     assert (d._dense.rows(f, -math.inf) == range(len(d.head))) == all_rows
+
+
+def test_nan_top_raises_a_typed_error():
+    d = make_finite([SparseVector({1: 1.0, 2: 1.0}), SparseVector({1: 0.6, 2: -0.8})])
+    with pytest.raises(GreedyExpansionError, match="NaN"):
+        d.sup_inner(SparseVector({1: math.nan, 2: 0.5}))
