@@ -237,10 +237,17 @@ def block_parts(v: SparseVector) -> dict:
 
 
 def inner(u: SparseVector, v: SparseVector) -> float:
-    """Inner product over the shared support."""
+    """Inner product over the shared support, the fsum of the shared products.
+
+    When the smaller operand has a single entry, as a basis atom does, the
+    product is the one term: value * x + 0.0, or 0.0 if the other operand
+    lacks the index. The + 0.0 turns a -0.0 product into 0.0, as fsum does."""
     a, b = u._entries, v._entries
     if len(b) < len(a):
         a, b = b, a
+    if len(a) == 1:
+        for i, value in a.items():
+            return value * b[i] + 0.0 if i in b else 0.0
     return math.fsum(value * b[i] for i, value in a.items() if i in b)
 
 

@@ -269,7 +269,8 @@ class Dictionary(ABC):
 
     @abstractmethod
     def realize(self, aid: AtomId) -> Atom:
-        """Resolve an atom id to its Atom; raises UnknownAtomError."""
+        """Resolve an atom id to its Atom; raises UnknownAtomError. Equal ids
+        must give equal atoms every time: Scripted keeps the first one."""
 
 
 class SymmetrizedOnb(Dictionary):
@@ -512,18 +513,37 @@ class Scripted:
 
     needs_witness is False: choose checks the planned atom against t*sup and
     never reads its witness argument, so on a dictionary that can skip it the
-    engine asks for the sup alone and hands choose None as the witness."""
+    engine asks for the sup alone and hands choose None as the witness.
+
+    Realized atoms are memoized per dictionary: each well-formed plan id is
+    realized once, at the first step that plays it, and the memo starts over
+    when choose is handed another dictionary object. A failed realization is
+    not kept, so an unknown id aborts at every step that plays it. An id that
+    is not well formed (a bool or float index, a list) is realized every time:
+    it may be unhashable, and it may equal a well-formed id (True == 1) that
+    it must not stand in for."""
 
     needs_witness = False
 
     def __init__(self, plan: Sequence):
         self.plan = [a if isinstance(a, tuple) else parse_atom_id(a) for a in plan]
+        self._memo = (None, {})
 
     def choose(self, step: int, dictionary: Dictionary, f: SparseVector,
                t: float, sup: float, witness: Optional[Atom]) -> Atom:
         if step > len(self.plan):
             raise IndexPastEndError(f"selection plan exhausted at step {step}")
-        atom = dictionary.realize(self.plan[step - 1])
+        aid = self.plan[step - 1]
+        # (dictionary, atoms) in one slot: runs in two threads never mix them
+        memo = self._memo
+        if memo[0] is not dictionary:
+            memo = self._memo = (dictionary, {})
+        if _well_formed(aid):
+            atom = memo[1].get(aid)
+            if atom is None:
+                atom = memo[1][aid] = dictionary.realize(aid)
+        else:
+            atom = dictionary.realize(aid)
         ip = inner(f, atom.vector)
         if ip < t * sup - ADMISSIBILITY_SLACK:
             raise NoAdmissibleAtomError(

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from greedyexp.core import (
     SparseVector,
@@ -32,6 +34,34 @@ def test_inner_shared_support_only():
     v = SparseVector({2: 0.5})
     assert inner(u, v) == 0.8 * 0.5
     assert inner(v, u) == inner(u, v)
+
+
+# zeros of both signs, subnormals, an underflowing pair, infinities and NaN
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1e-200, -1e-200, 1.0, -3.5, 1e308,
+         float("inf"), float("-inf"), float("nan")]
+EDGE_FLOATS = st.one_of(st.sampled_from(EDGES), st.floats())
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4), EDGE_FLOATS, st.dictionaries(st.integers(1, 4), EDGE_FLOATS,
+                                                       max_size=4))
+@example(1, 1e-200, {1: -1e-200})          # the product underflows to -0.0
+@example(1, -0.0, {1: 2.0})
+@example(1, 0.0, {1: -2.0})
+@example(1, float("inf"), {1: 0.0})
+@example(1, float("nan"), {2: 1.0})        # the index is absent
+@example(3, 2.0, {})
+def test_one_coordinate_inner_is_the_fsum_of_the_shared_products(i, x, other):
+    """inner with a one-entry operand, in either order, returns the fsum of the
+    shared products bit for bit, over any float entries."""
+    single = SparseVector._trusted({i: x})
+    many = SparseVector._trusted(dict(other))
+    expected = math.fsum([x * other[i]] if i in other else [])
+    for got in (inner(single, many), inner(many, single)):
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert repr(got) == repr(expected)
 
 
 def test_norm_examples():

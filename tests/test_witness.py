@@ -7,12 +7,16 @@ other dictionary, a user's one-argument dictionary among them, is asked
 ``sup_inner(f)`` under every policy. These tests pin that the basis's
 witness-free sup is its witness query's sup bit for bit, also on heaps
 carried through steps and parents queried again; who is asked for what; that
-scripted atom ids with bool indices are unknown atoms; and that the trace
-writer's bytes are csv.writer's.
+a scripted replay realizes each plan id once per dictionary and still aborts,
+typed, on every id it cannot realize; that scripted atom ids with bool
+indices are unknown atoms; and that the trace writer's bytes are
+csv.writer's.
 """
 
 import csv
 import io
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +240,122 @@ def test_scripted_choose_is_handed_no_witness_by_the_basis_only():
     run(target, make_augmented_onb([SparseVector({1: 0.6, 2: 0.8})], [1, 2]), Power(1.0),
         ConstantWeakening(0.5), policy=Spy(["+e1", "+e2"]), max_steps=2)
     assert [atom_id_str(w.id) for w in seen[2:]] == ["+e1", "+e2"]
+
+
+# ---------------------------------------------------------------------------
+# Scripted realizes each plan id once per dictionary
+# ---------------------------------------------------------------------------
+
+def test_counterexample_replay_realizes_each_id_once(monkeypatch):
+    calls = []
+    realize = dictionaries.SymmetrizedOnb.realize
+
+    def counted(self, aid):
+        calls.append(aid)
+        return realize(self, aid)
+
+    plan = build_plan(default_config(0.5, 6))
+    monkeypatch.setattr(dictionaries.SymmetrizedOnb, "realize", counted)
+    trace = run_plan(plan)
+    assert trace.status.kind == "stopped" and len(trace.steps) == len(plan)
+    assert len(calls) == len(set(plan.selections)) < len(plan)
+
+
+def two_bases():
+    """One run on the basis and on its image under Q, where +e1 is Q·e1: the
+    targets are f = 2e1 + e2 and Q·f."""
+    q = [[0.6, -0.8], [0.8, 0.6]]
+    return [(make_symmetrized_onb(), SparseVector({1: 2.0, 2: 1.0})),
+            (pushforward(make_symmetrized_onb(), q), SparseVector({1: 0.4, 2: 2.2}))]
+
+
+def replay(case, policy, steps):
+    d, f = case
+    return run(f, d, Power(1.0), ConstantWeakening(0.1), policy=policy, max_steps=steps)
+
+
+def test_one_instance_replays_on_two_dictionaries():
+    """The memo starts over on another dictionary object."""
+    cases = two_bases()
+    plan = ["+e1", "+e2", "+e1"]
+    shared = Scripted(plan)
+    for case in cases + cases:
+        kept, fresh = replay(case, shared, 3), replay(case, Scripted(plan), 3)
+        assert len(kept.steps) == 3 and kept.status == fresh.status
+        assert records(kept) == records(fresh)
+        assert [r.atom.vector for r in kept.steps] == [r.atom.vector for r in fresh.steps]
+    (onb, _), (moved, _) = cases
+    assert moved.realize(("e", 0, 1)).vector != onb.realize(("e", 0, 1)).vector
+
+
+def test_threads_sharing_one_instance_keep_their_own_atoms():
+    """Threads that replay one Scripted on two dictionaries in turn, switching
+    as often as the interpreter allows, each record what a fresh replay does."""
+    cases = two_bases()
+    plan = ["+e1", "+e2", "+e1", "-e2", "+e1"]
+    expected = [records(replay(case, Scripted(plan), len(plan))) for case in cases]
+    shared, wrong = Scripted(plan), []
+
+    def worker(k):
+        for j in range(k, k + 2000):
+            if records(replay(cases[j % 2], shared, len(plan))) != expected[j % 2]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_unknown_id_aborts_at_its_step_on_every_replay():
+    target = SparseVector({1: 1.0, 2: 0.5, 3: 0.25})
+    policy = Scripted(["+e1", "+e2", "y0", "+e3"])
+    for _ in range(2):
+        trace = run(target, make_symmetrized_onb(), Power(1.0), ConstantWeakening(0.5),
+                    policy=policy, max_steps=4)
+        assert trace.status.kind == "aborted" and trace.status.step == 3
+        assert trace.status.reason == "UnknownAtomError: y0 is not a signed basis atom"
+
+
+@pytest.mark.parametrize("plan, step", [
+    ([("b", 1, ["e", 0, 1])], 1),
+    ([("e", 0, [1])], 1),
+    # True == 1 and hash(True) == hash(1): a memoized +e1 must not answer for it
+    ([("e", 0, 1), ("e", 0, True)], 2),
+    ([("e", 0, 1), ("e", 0, 1.0)], 2),
+], ids=["unhashable_block", "unhashable_index", "bool_after_int", "float_after_int"])
+def test_ill_formed_ids_abort_typed(plan, step):
+    target = SparseVector({1: 1.0, 3: 0.5})
+    trace = run(target, make_symmetrized_onb(), Power(0.5, 0.5), ConstantWeakening(0.5),
+                policy=Scripted(plan), max_steps=3)
+    assert trace.status.kind == "aborted" and trace.status.step == step
+    assert trace.status.reason == \
+        f"UnknownAtomError: {plan[-1]!r} is not a signed basis atom"
+
+
+class EqualWithoutHash(OneArgument):
+    """A user dictionary that defines __eq__ and so has no __hash__."""
+
+    def __eq__(self, other):
+        return isinstance(other, EqualWithoutHash) and other.inner is self.inner
+
+
+def test_unhashable_dictionary_replays_a_script():
+    d = EqualWithoutHash(make_symmetrized_onb())
+    assert EqualWithoutHash.__hash__ is None
+    plan = build_plan(default_config(0.5, 3))
+    trace = run(build_target(plan.config), d, plan.coefficients, ConstantWeakening(0.5),
+                policy=Scripted(plan.selections), max_steps=len(plan) + 1)
+    assert d.calls == len(trace.steps) == len(plan)
+    assert records(trace) == records(run_plan(plan))
 
 
 # ---------------------------------------------------------------------------
