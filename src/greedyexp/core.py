@@ -20,20 +20,26 @@ coordinates only:
 - the exact sum of the squares fl(x*x), an int in units of 2**-1074. Every
   finite square is such a multiple, and int / int rounds correctly, just as
   ``math.fsum`` does, so ``norm()`` is bit-identical to the fsum of the
-  squares. A non-finite square drops the cache and norm() falls back to fsum;
+  squares. A step of one coordinate, as every basis step is, converts its new
+  and old square to ints. A longer step takes the exact sum of all its
+  new*new and -(old*old) terms in ``fsum`` passes: each pass adds the
+  correctly rounded rest and appends its negation, until the rest is exactly
+  0.0. A non-finite square drops the cache and norm() falls back to fsum;
 - a lazy max-heap of (-|x|, i) over the indices from some start on, from which
   ``tail_top`` reads the largest magnitude and ``tail_peak`` also the entries
   near it. Nodes whose entry has changed stay in the heap until they surface.
   The heap is handed over, not copied: v drops it and rebuilds it if it is
   queried again.
 
-A block-indexed vector also splits into its block restrictions, all of them in
-one pass the first time one is asked for (``block_parts``). Each restriction
-sits beside a memo that a direct sum fills with the block's sup. A step carries
-them over: it steps only the restrictions of the blocks its atom touches, by
-the same ``old - c*x`` update and with their heaps handed over but no square
-sum, which nothing asks of them, and shares the other restrictions and their
-memos with the result unchanged.
+A block-indexed vector splits into its block restrictions (``block_parts``),
+all of them in one pass the first time one is asked for. Each restriction sits
+beside a memo that a direct sum fills with the block's sup. From then on its
+steps leave the flat dict alone: a step steps only the restrictions of the
+blocks its atom touches, each by the update above, and shares the other
+restrictions and their memos. The result is a ``_Blocked`` vector, held as its
+restrictions alone. Its square sum is the sum of theirs, and ``inner`` with an
+atom lifted into a direct sum, which is held the same way, is the component
+``inner`` on one restriction. Its flat dict is built only when it is read.
 
 These caches and the handover are invisible: vectors stay immutable and compare
 by entries only. They are not thread-safe: reading a kept vector in one thread
@@ -120,7 +126,8 @@ class SparseVector:
             if index in entries:
                 raise ValueError(f"duplicate coordinate index {index!r}")
             entries[index] = float(value)
-        return cls(entries)
+        # every index is checked once, here
+        return cls._trusted({i: x for i, x in entries.items() if x != 0.0})
 
     def items(self) -> Iterator[Tuple[Index, float]]:
         # a snapshot, like support(): a later step may take the dict over
@@ -220,17 +227,66 @@ class _Handed(SparseVector):
         return self._undo[2]
 
 
+class _Blocked(SparseVector):
+    """A vector held as its block restrictions alone: _blocks is set, as
+    block_parts gives it, and _entries is not.
+
+    The first read of _entries builds the flat dict from the restrictions,
+    adopts it and turns this vector into a plain SparseVector, which keeps its
+    restrictions as well. As with _Handed, the hook sits here, not on
+    SparseVector."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name != "_entries":
+            raise AttributeError(name)
+        entries = {}
+        for l, (x, _) in self._blocks.items():
+            if l is None:
+                entries.update(x._entries)
+            else:
+                entries.update({(l, i): y for i, y in x._entries.items()})
+        _set_entries(self, entries)
+        _set_class(self, SparseVector)
+        return entries
+
+    def support_size(self) -> int:
+        return sum(x.support_size() for x, _ in self._blocks.values())
+
+    def is_zero(self) -> bool:
+        return not self._blocks
+
+
+def _held(parts: dict, square_sum=None) -> SparseVector:
+    """A _Blocked vector on parts, a dict as block_parts gives it."""
+    v = object.__new__(_Blocked)
+    _set_blocks(v, parts)
+    _set_square_sum(v, square_sum)
+    _set_heap(v, None)
+    return v
+
+
+def lifted(block: int, v: SparseVector) -> SparseVector:
+    """v, a vector on plain indices, as the restriction to `block` of a
+    block-indexed vector that is zero on every other block."""
+    return _held({} if v.is_zero() else {block: (v, {})}, v._square_sum)
+
+
 def block_parts(v: SparseVector) -> dict:
-    """block -> (restriction, memo) for every block on which v is nonzero,
-    built in one pass and cached on first use. The restriction is v's block on
-    plain inner indices; the memo is a dict a caller may fill with results that
-    depend on the restriction alone."""
+    """block -> (restriction, memo) for every block on which v is nonzero, and
+    None -> (its plain-index entries, memo) if it has any. Built in one pass
+    and cached on first use; a _Blocked vector holds nothing else. The
+    restriction is v's block on plain inner indices; the memo is a dict a
+    caller may fill with results that depend on the restriction alone."""
     parts = v._blocks
     if parts is None:
         split = {}
         for i, x in v._entries.items():
             if isinstance(i, tuple):
                 split.setdefault(i[0], {})[i[1]] = x
+            else:
+                split.setdefault(None, {})[i] = x
         parts = {l: (SparseVector._trusted(e), {}) for l, e in split.items()}
         _set_blocks(v, parts)
     return parts
@@ -241,14 +297,25 @@ def inner(u: SparseVector, v: SparseVector) -> float:
 
     When the smaller operand has a single entry, as a basis atom does, the
     product is the one term: value * x + 0.0, or 0.0 if the other operand
-    lacks the index. The + 0.0 turns a -0.0 product into 0.0, as fsum does."""
+    lacks the index. The + 0.0 turns a -0.0 product into 0.0, as fsum does.
+
+    When both operands have their block restrictions and one of them lies in
+    a single block, as a lifted atom does, it is the component inner product
+    on that block: fsum rounds the same products correctly in any order."""
+    pu, pv = u._blocks, v._blocks
+    if pu is not None and pv is not None and 1 in (len(pu), len(pv)):
+        if len(pv) == 1:
+            pu, pv = pv, pu
+        for l, (x, _) in pu.items():
+            part = pv.get(l)
+            return 0.0 if part is None else inner(x, part[0])
     a, b = u._entries, v._entries
     if len(b) < len(a):
         a, b = b, a
     if len(a) == 1:
         for i, value in a.items():
             return value * b[i] + 0.0 if i in b else 0.0
-    return math.fsum(value * b[i] for i, value in a.items() if i in b)
+    return math.fsum([value * b[i] for i, value in a.items() if i in b])
 
 
 def norm(v: SparseVector) -> float:
@@ -281,32 +348,33 @@ def subtract_scaled(v: SparseVector, c: float, a: SparseVector) -> SparseVector:
     The result takes over v's entry dict, updated on a's coordinates, and v
     keeps only the undo record that rebuilds it if it is read again. The
     result carries v's square sum, updated the same way, and takes over v's
-    magnitude heap with a node pushed for every changed tail entry. When v's
-    block restrictions are built, the result gets them too: each block a
-    touches is stepped the same way, every other one is shared."""
+    magnitude heap with a node pushed for every changed tail entry.
+
+    When v's block restrictions are built, the flat dict is left alone: each
+    restriction that a touches is stepped that way, every other one is shared,
+    and the result is a _Blocked vector whose square sum adds up theirs."""
     c = float(c)
-    pairs = a._entries.items()
-    if a is v:
-        # the step updates this very dict: read the atom first
-        pairs = list(pairs)
-    w = _step(v, c, pairs, _exact_square_sum(v))
     parts = v._blocks
-    if parts is not None:
-        touched = {}
-        for i, x in pairs:
-            if isinstance(i, tuple):
-                touched.setdefault(i[0], []).append((i[1], x))
-        if touched:
-            parts = dict(parts)
-            for l, pairs in touched.items():
-                part = parts.get(l)
-                fl = _step(SparseVector._trusted({}) if part is None else part[0], c, pairs, None)
-                if fl._entries:
-                    parts[l] = (fl, {})
-                else:
-                    parts.pop(l, None)
-        _set_blocks(w, parts)
-    return w
+    if parts is None:
+        pairs = a._entries.items()
+        if a is v:
+            # the step updates this very dict: read the atom first
+            pairs = list(pairs)
+        return _step(v, c, pairs, _exact_square_sum(v))
+    parts = dict(parts)
+    for l, (al, _) in block_parts(a).items():
+        part = parts.get(l)
+        vl = SparseVector._trusted({}) if part is None else part[0]
+        pairs = al._entries.items()
+        if al is vl:
+            pairs = list(pairs)
+        wl = _step(vl, c, pairs, _exact_square_sum(vl))
+        if wl._entries:
+            parts[l] = (wl, {})
+        else:
+            parts.pop(l, None)
+    sums = [_exact_square_sum(x) for x, _ in parts.values()]
+    return _held(parts, None if None in sums else sum(sums))
 
 
 def _step(v: SparseVector, c: float, pairs, total) -> SparseVector:
@@ -320,6 +388,8 @@ def _step(v: SparseVector, c: float, pairs, total) -> SparseVector:
         _set_heap(v, None)
         start, nodes = heap
     undo = []
+    # the square terms of a step over more than one coordinate
+    terms = [] if total is not None and len(pairs) > 1 else None
     for i, x in pairs:
         old = entries.get(i, 0.0)
         new = old - c * x
@@ -330,19 +400,46 @@ def _step(v: SparseVector, c: float, pairs, total) -> SparseVector:
             entries[i] = new
             if heap is not None and (start == 1 or i >= start):
                 heapq.heappush(nodes, (-abs(new), i))
-        if total is not None:
-            # _units(new * new) - _units(old * old), inlined
-            try:
+        if terms is not None:
+            terms += new * new, -(old * old)
+    if total is not None and undo:
+        try:
+            if terms is None:
+                # one coordinate: _units(new * new) - _units(old * old), inlined
                 n, d = (new * new).as_integer_ratio()
                 p, q = (old * old).as_integer_ratio()
                 total += (n << (1075 - d.bit_length())) - (p << (1075 - q.bit_length()))
-            except (OverflowError, ValueError):
-                total = None
+            else:
+                total += _exact_sum(terms)
+        except (OverflowError, ValueError):
+            total = None
     w = SparseVector._trusted(entries, total, heap)
     _del_entries(v)
     _set_undo(v, (w, undo, size))
     _set_class(v, _Handed)
     return w
+
+
+def _exact_sum(terms: list) -> int:
+    """The exact sum of float terms in units of 2**-1074; raises OverflowError
+    or ValueError when a term is not finite.
+
+    Each fsum pass rounds the rest of the sum correctly, so it is 0.0 only
+    when the rest is exactly 0, and its negation, appended, leaves a rest at
+    most 2**-53 times smaller, still a multiple of 2**-1074: the passes end.
+    Terms whose float partial sums overflow are converted one by one."""
+    count = len(terms)
+    rest = 0
+    try:
+        s = math.fsum(terms)
+        while s:
+            rest += _units(s)
+            terms.append(-s)
+            s = math.fsum(terms)
+    except OverflowError:
+        # an infinite term raises here again
+        rest = sum(map(_units, terms[:count]))
+    return rest
 
 
 def _magnitude_heap(v: SparseVector, start: int) -> list:

@@ -34,7 +34,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import SparseVector, block_parts, index_key, inner, tail_peak, tail_top
+from .core import SparseVector, block_parts, index_key, inner, lifted, tail_peak, tail_top
 from .errors import (
     ConfigInvalidError,
     EmptyVectorError,
@@ -151,9 +151,15 @@ class _DenseHead:
     __slots__ = ("columns", "matrix", "magnitudes", "factor", "floor")
 
     def __init__(self, head: Sequence[Atom]):
-        self.columns = sorted({i for a in head for i in a.vector.support()}, key=index_key)
-        self.matrix = np.array([[a.vector.get(i) for i in self.columns] for a in head],
-                               dtype=float).reshape(len(head), len(self.columns))
+        self.columns = sorted({i for a in head for i in a.vector._entries}, key=index_key)
+        position = {i: k for k, i in enumerate(self.columns)}
+        rows = []
+        for a in head:
+            row = [0.0] * len(position)
+            for i, x in a.vector._entries.items():
+                row[position[i]] = x
+            rows.append(row)
+        self.matrix = np.array(rows, dtype=float).reshape(len(head), len(position))
         self.magnitudes = np.abs(self.matrix)
         # A row's gemv value and its fsum score differ by at most
         # (gamma_d + 2u) * S + d * 2**-1074, S being the exact sum of |h_i x_i|
@@ -301,7 +307,8 @@ def _unit_sparse(vector: SparseVector, position: str) -> SparseVector:
         raise ZeroAtomError(f"{position}: atom norm {n:g} is below {_ATOM_NORM_FLOOR:g}")
     if n == 1.0:
         return vector
-    return SparseVector({i: v / n for i, v in vector.items()})
+    # an entry that underflows to 0.0 is dropped
+    return SparseVector._trusted({i: y for i, v in vector._entries.items() if (y := v / n) != 0.0})
 
 
 def _symmetrize(vectors: Sequence[SparseVector], positions: str) -> list:
@@ -311,7 +318,7 @@ def _symmetrize(vectors: Sequence[SparseVector], positions: str) -> list:
         unit = _unit_sparse(vec, f"{positions}[{j}]")
         atoms.append(Atom(("y", 2 * j), unit))
         atoms.append(Atom(("y", 2 * j + 1),
-                          SparseVector._trusted({i: -v for i, v in unit.items()})))
+                          SparseVector._trusted({i: -v for i, v in unit._entries.items()})))
     return atoms
 
 
@@ -377,9 +384,9 @@ def make_augmented_onb(extra: Sequence[SparseVector], e_prime: Iterable[int]) ->
 
 
 def _lift(block: int, atom: Atom) -> Atom:
-    """A component atom as an atom of the direct sum, on block-indexed coordinates."""
-    return Atom(("b", block, atom.id),
-                SparseVector._trusted({(block, i): v for i, v in atom.vector._entries.items()}))
+    """A component atom as an atom of the direct sum, on block-indexed
+    coordinates: its vector is held as the one block restriction."""
+    return Atom(("b", block, atom.id), lifted(block, atom.vector))
 
 
 class DirectSumDictionary(Dictionary):
@@ -443,7 +450,7 @@ def _to_dense(vec: SparseVector, dim: int) -> np.ndarray:
 
 
 def _from_dense(arr: np.ndarray) -> SparseVector:
-    return SparseVector._trusted({i + 1: float(v) for i, v in enumerate(arr) if v != 0.0})
+    return SparseVector._trusted({i: v for i, v in enumerate(arr.tolist(), start=1) if v != 0.0})
 
 
 class PushforwardDictionary(Dictionary):

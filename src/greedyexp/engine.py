@@ -11,9 +11,11 @@ and copies nothing: ``subtract_scaled`` hands the remainder's entry dict, its
 exact square sum and its magnitude heap on to the next remainder, and a kept
 remainder rebuilds its own entries from a reverse diff only when it is read
 (see ``core``). So the sup and the recorded residual norm, bit-identical to an
-fsum over all entries, need no pass over the support. Inside a direct sum it
-also passes on the block restrictions, with each block's memoized sup, and a
-step selects again only in the block its atom touched. A run starts from a
+fsum over all entries, need no pass over the support. Inside a direct sum the
+remainder is held as its block restrictions alone, each with its block's
+memoized sup: a step updates the one restriction its atom lies in and selects
+again only in that block, and the flat entries are built only if a policy
+reads them. A run starts from a
 private copy of the target, so it never fills or takes over the caller's
 caches and concurrent runs on one target share no mutable state.
 """

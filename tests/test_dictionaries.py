@@ -477,3 +477,42 @@ def test_dictionary_from_config_all_kinds():
 def test_dictionary_from_config_rejects_malformed(bad):
     with pytest.raises(ConfigInvalidError):
         dictionary_from_config(bad)
+
+
+def _cellwise(head):
+    """A head's dense matrix built one cell at a time, as SparseVector.get reads it."""
+    columns = sorted({i for a in head for i in a.vector.support()})
+    return np.array([[a.vector.get(i) for i in columns] for a in head],
+                    dtype=float).reshape(len(head), len(columns))
+
+
+def test_dense_head_scatters_like_a_cellwise_build():
+    rng = np.random.default_rng(11)
+
+    def atoms(count, dim, step=1):
+        return [SparseVector({1 + step * k: float(x) for k, x in enumerate(row) if k % 3 != j % 3})
+                for j, row in enumerate(rng.standard_normal((count, dim)))]
+
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    finite = make_finite(atoms(5, 4, step=2))
+    augmented = make_augmented_onb(atoms(3, 4), range(1, 5))
+    pushed = pushforward(make_augmented_onb(atoms(2, 3), range(1, 4)), q)
+    pushed_finite = pushforward(make_finite(atoms(4, 6)), q)
+    summed = direct_sum([make_symmetrized_onb(), finite, augmented, pushed])
+    for dictionary in (finite, augmented, pushed, pushed_finite, *summed.components[1:]):
+        dense_head = dictionary._dense
+        want = _cellwise(dictionary.head)
+        assert dense_head.matrix.shape == want.shape
+        assert dense_head.matrix.tobytes() == want.tobytes()
+        assert dense_head.magnitudes.tobytes() == np.abs(want).tobytes()
+
+
+def test_direct_sum_from_config_scatters_its_heads():
+    spec = {"kind": "direct_sum", "components": [
+        {"kind": "finite", "atoms": [[[1, 0.6], [3, -0.8]], [[2, 1.0]], [[1, 1e-320], [3, 1.0]]]},
+        {"kind": "augmented_onb", "e_prime": [1, 2], "extra": [[[2, 0.5], [1, -0.5]]]},
+        {"kind": "pushforward", "matrix": [[0.0, 1.0], [1.0, 0.0]],
+         "base": {"kind": "finite", "atoms": [[[1, 0.25], [2, -0.75]]]}},
+    ]}
+    for component in dictionary_from_config(spec).components:
+        assert component._dense.matrix.tobytes() == _cellwise(component.head).tobytes()

@@ -10,13 +10,23 @@ entry dict over.
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedyexp.cli import main
-from greedyexp.core import SparseVector, _units, index_key, subtract_scaled, tail_peak
+from greedyexp.core import (
+    SparseVector,
+    _units,
+    block_parts,
+    index_key,
+    inner,
+    lifted,
+    subtract_scaled,
+    tail_peak,
+)
 from greedyexp.dictionaries import (
     WITNESS_BAND,
     MaxGreedy,
@@ -28,9 +38,9 @@ from greedyexp.dictionaries import (
     make_finite,
     make_symmetrized_onb,
 )
-from greedyexp.engine import run
+from greedyexp.engine import Trace, reconstruct, run, write_trace_csv
 from greedyexp.errors import ConfigInvalidError, EmptyVectorError
-from greedyexp.sequences import ConstantWeakening, Power
+from greedyexp.sequences import ConstantWeakening, Explicit, Power
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -105,6 +115,116 @@ def test_square_sum_overflow_behaves_as_fsum():
         math.fsum(x * x for _, x in v.items())
     with pytest.raises(OverflowError):
         v.norm()
+
+
+def exact_square_sum(values):
+    """The exact square sum in units of 2**-1074, None if a square is not finite."""
+    squares = [x * x for x in values]
+    if not all(math.isfinite(q) for q in squares):
+        return None
+    return sum(_units(q) for q in squares)
+
+
+def bits(norm):
+    """norm() as hex, or the type of the exception it raises."""
+    result = outcome(norm)
+    return result.hex() if isinstance(result, float) else result
+
+
+# values whose squares are subnormal (1e-160 and below), near 1e+-150, finite
+# near 1e308 but overflowing a float sum when two of them meet (1e154), or
+# infinite (1e160 and up), besides dyadic values that cancel exactly
+DELTA_VALUES = st.one_of(
+    st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_subnormal=True),
+    st.builds(lambda m, e, s: s * m * 10.0 ** e,
+              st.floats(min_value=1.0, max_value=9.99),
+              st.sampled_from([-320, -310, -170, -160, -150, 150, 153, 154, 160, 200]),
+              st.sampled_from([1.0, -1.0])),
+    st.sampled_from([5e-324, -5e-324, 0.5, -0.5, 0.25, 1.0]),
+)
+DELTA_SCALES = st.sampled_from([1.0, -1.0, 0.5, 3.0, 1.0 / 3, 0.0])
+WIDTHS = st.sampled_from([1, 2, 3, 40])
+DELTA_COORDS = {
+    "plain": list(range(1, 49)),
+    "blocks": [(b, i) for b in (1, 2, 3) for i in range(1, 17)],
+}
+
+
+def delta_atom(data, coords, v):
+    """(c, atom) of one step over `width` coordinates: drawn values, an exact
+    cancellation of present entries, a negation of them (the square sum moves
+    by exactly 0) or a step scaled by 0.0."""
+    width = data.draw(WIDTHS)
+    kind = data.draw(st.sampled_from(["drawn", "drawn", "cancel", "negate"]))
+    entries = dict(v.items())
+    if kind != "drawn" and entries:
+        chosen = data.draw(st.permutations(sorted(entries, key=index_key)))[:width]
+        scale = 1.0 if kind == "cancel" else 2.0
+        return 1.0, SparseVector({i: scale * entries[i] for i in chosen})
+    chosen = data.draw(st.permutations(coords))[:width]
+    values = data.draw(st.lists(DELTA_VALUES, min_size=width, max_size=width))
+    return data.draw(DELTA_SCALES), SparseVector(dict(zip(chosen, values)))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(st.sampled_from(sorted(DELTA_COORDS)), st.data())
+def test_square_sum_delta_is_exact_over_steps_of_any_width(kind, data):
+    """Chains of 1-, 2-, 3- and 40-coordinate steps: the carried square sum is
+    the exact one whenever every square is finite before and after the step,
+    and norm() reads as the fsum over a fresh copy, an OverflowError included."""
+    coords = DELTA_COORDS[kind]
+    v = SparseVector(data.draw(st.dictionaries(st.sampled_from(coords), DELTA_VALUES,
+                                               max_size=12)))
+    if kind == "blocks":
+        block_parts(v)   # from here on the steps go block by block
+    exact = exact_square_sum(x for _, x in v.items())
+    for _ in range(data.draw(st.integers(1, 8))):
+        c, atom = delta_atom(data, coords, v)
+        v = subtract_scaled(v, c, atom)
+        values = [x for _, x in v.items()]
+        # a non-finite square before or after the step may leave no square sum
+        before, exact = exact, exact_square_sum(values)
+        if before is None or exact is None:
+            assert v._square_sum in (None, exact)
+        else:
+            assert v._square_sum == exact
+        fresh = SparseVector(dict(v.items()))
+        assert bits(v.norm) == bits(fresh.norm)
+        assert bits(fresh.norm) == bits(lambda: math.sqrt(math.fsum(x * x for x in values)))
+        if kind == "blocks" and v._square_sum is not None:
+            assert sum(part._square_sum for part, _ in block_parts(v).values()) == exact
+
+
+def test_norm_reads_as_fsum_over_the_same_entries():
+    for values in ([1e154, 1e154], [1.1e154, -5e-324, 3.0], [1e-170, 1e-160, 2.0 ** -1074]):
+        v = SparseVector(dict(enumerate(values, start=1)))
+        want = outcome(lambda: math.sqrt(math.fsum(x * x for x in values)))
+        assert outcome(v.norm) == want
+        w = subtract_scaled(SparseVector({}), -1.0, v)
+        assert outcome(w.norm) == want
+
+
+def test_finite_squares_whose_fsum_overflows_keep_the_exact_sum():
+    step = SparseVector({1: 1.2e154, 2: -1.3e154, 3: 0.5})
+    with pytest.raises(OverflowError):
+        math.fsum([1.2e154 ** 2, 1.3e154 ** 2, 0.25])
+    v = subtract_scaled(SparseVector({4: 2.0}), -1.0, step)
+    assert v._square_sum == exact_square_sum([1.2e154, -1.3e154, 0.5, 2.0]) is not None
+    with pytest.raises(OverflowError):
+        v.norm()
+    # the huge entries cancel exactly, and the carried sum comes back down
+    back = subtract_scaled(v, 1.0, SparseVector({1: 1.2e154, 2: -1.3e154}))
+    assert back == SparseVector({3: 0.5, 4: 2.0})
+    assert back.norm() == math.sqrt(4.25)
+
+
+def test_a_step_that_moves_the_square_sum_by_zero_keeps_it():
+    v = SparseVector({1: 0.75, 2: -1e-160, 3: 1e150})
+    before = v.norm()
+    w = subtract_scaled(v, 1.0, SparseVector({1: 1.5, 2: -2e-160, 3: 2e150}))
+    assert dict(w.items()) == {1: -0.75, 2: 1e-160, 3: -1e150}
+    assert w._square_sum == exact_square_sum([0.75, 1e-160, 1e150])
+    assert w.norm() == before
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +346,84 @@ def test_handed_over_heap_is_rebuilt_for_the_parent():
     assert g._heap is not None and f._heap is None
     assert onb.sup_inner(g)[1].id == ("e", 1, 2)
     assert onb.sup_inner(f)[1].id == ("e", 0, 1)
+
+
+class Reader(MaxGreedy):
+    """Max-greedy that reads the witness and every `every`-th remainder (none
+    if every is 0) through each public reader, and keeps every remainder with
+    a snapshot of its entries taken from its block restrictions, which leaves
+    its flat entries unbuilt."""
+
+    def __init__(self, every=0):
+        self.every, self.kept = every, []
+
+    def choose(self, step, dictionary, f, t, sup, witness):
+        assert inner(f, witness.vector) >= sup - 2 * WITNESS_BAND
+        snapshot = {i: f.block_restriction(i[0]).get(i[1]) for i in SPACE_COORDS}
+        snapshot = {i: x for i, x in snapshot.items() if x != 0.0}
+        if self.every and step % self.every == 0:
+            assert dict(f.items()) == snapshot
+            assert set(f.support()) == set(snapshot)
+            assert f.support_size() == len(snapshot)
+            assert f == SparseVector(snapshot) and hash(f) == hash(SparseVector(snapshot))
+            assert f.to_pairs() == SparseVector(snapshot).to_pairs()
+        self.kept.append((f, snapshot))
+        return witness
+
+
+SPACE_COORDS = [(b, i) for b in (1, 2, 3) for i in range(1, 13)]
+
+
+@pytest.mark.parametrize("every", [1, 3])
+def test_readers_of_block_remainders_see_them_as_made(tmp_path, every):
+    dictionary = direct_sum([
+        make_symmetrized_onb(),
+        make_finite([SparseVector({1: 0.6, 2: 0.8}), SparseVector({2: 1.0, 3: -1.0})]),
+        make_augmented_onb([SparseVector({1: 0.5, 2: 0.5, 3: 0.5, 4: 0.5})], [1, 2, 3, 4]),
+    ])
+    target = SparseVector({(b, i): (0.5 if (b + i) % 3 else -0.75) / i
+                           for b in (1, 2, 3) for i in range(1, 13) if b > 1 or i % 4})
+    reader = Reader(every)
+    coefficients, weakening = Power(0.75, scale=0.25), ConstantWeakening(1.0)
+    traces = {}
+    for name, policy in (("reader", reader), ("max_greedy", MaxGreedy())):
+        trace = run(target, dictionary, coefficients, weakening, policy=policy, max_steps=150)
+        path = tmp_path / f"{name}.csv"
+        write_trace_csv(trace, str(path))
+        traces[name] = (trace, path.read_bytes())
+    trace, data = traces["reader"]
+    assert data == traces["max_greedy"][1]
+    assert len(reader.kept) == len(trace.steps) == 150
+    # remainders left unread are still held as their blocks alone
+    assert (every == 1) == all(type(f) is SparseVector for f, _ in reader.kept)
+    norms = [trace.initial_norm] + trace.residual_norms()
+    for m, (f, snapshot) in enumerate(reader.kept):
+        fresh = SparseVector(snapshot)
+        assert f.support_size() == len(snapshot)
+        assert dict(f.items()) == snapshot and set(f.support()) == set(snapshot)
+        assert f == fresh and hash(f) == hash(fresh) and f.to_pairs() == fresh.to_pairs()
+        assert f.norm() == norms[m] == fresh.norm()
+
+
+def test_reconstruct_of_a_direct_sum_trace_is_the_target_minus_the_remainder():
+    """Dyadic inputs, so both sides are exact and must agree entry for entry."""
+    half = [SparseVector({1: 0.5, 2: 0.5, 3: 0.5, 4: 0.5}),
+            SparseVector({1: 0.5, 2: -0.5, 3: 0.5, 4: -0.5})]
+    dictionary = direct_sum([make_finite(half), make_symmetrized_onb(),
+                             make_augmented_onb(half, [1, 2, 3, 4])])
+    target = SparseVector({(b, i): (i % 5 - 2) * 0.375 + b * 0.0625
+                           for b in (1, 2, 3) for i in range(1, 9)})
+    keeper = Reader()
+    steps = 40
+    trace = run(target, dictionary, Explicit([0.5, 0.25, 0.125, 0.75] * 11),
+                ConstantWeakening(1.0), policy=keeper, max_steps=steps + 1)
+    assert len(trace.steps) == steps + 1
+    final = keeper.kept[steps][0]        # the remainder after `steps` steps
+    truncated = Trace(steps=trace.steps[:steps])
+    approximant = reconstruct(truncated)
+    expected = subtract_scaled(SparseVector(dict(target.items())), 1.0, final)
+    assert dict(approximant.items()) == dict(expected.items())
+    assert {i[0] for i in approximant.support()} == {1, 2, 3}
 
 
 # ---------------------------------------------------------------------------
@@ -388,3 +586,62 @@ def test_config_target_with_bad_index_exits_1(tmp_path, capsys, inline):
     path.write_text(json.dumps(config))
     assert main(["run", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+BAD_PAIRS = {
+    "bool": ([[True, 1.0]], "coordinate index must be an int or (block, inner) pair, got True"),
+    "zero": ([[0, 1.0]], "coordinate index must be >= 1, got 0"),
+    "three": ([[[1, 2, 3], 1.0]],
+              "coordinate index must be an int or (block, inner) pair, got (1, 2, 3)"),
+    "duplicate": ([[2, 1.0], [[1, 1], 0.5], [2, 0.5]], "duplicate coordinate index 2"),
+    "duplicate_zero": ([[[1, 1], 0.0], [[1, 1], 0.5]], "duplicate coordinate index (1, 1)"),
+}
+
+
+@pytest.mark.parametrize("where", ["target", "atoms"])
+@pytest.mark.parametrize("bad", sorted(BAD_PAIRS))
+def test_config_coordinates_are_checked_once_with_the_same_messages(tmp_path, capsys, where, bad):
+    pairs, message = BAD_PAIRS[bad]
+    config = {"target": {"inline": [[1, 1.0]]}, "dictionary": {"kind": "symmetrized_onb"},
+              "coefficients": {"kind": "harmonic"},
+              "weakening": {"kind": "constant_t", "t": 1.0}, "max_steps": 5,
+              "outputs": {"trace": str(tmp_path / "t.csv"), "metadata": str(tmp_path / "m.json")}}
+    if where == "target":
+        config["target"] = {"inline": pairs}
+    else:
+        config["dictionary"] = {"kind": "finite", "atoms": [[[1, 1.0]], pairs]}
+        message = "bad dictionary spec: " + message
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_config_pairs_drop_zero_values():
+    v = SparseVector.from_json([[1, 0.0], [[2, 3], -0.0], [4, 0.5]])
+    assert dict(v.items()) == {4: 0.5} and v.support_size() == 1
+
+
+def test_rescaled_atom_drops_entries_that_underflow():
+    # 5e-324 / 2 rounds to 0.0 (ties to even); 2**-1073 / 2 does not
+    finite = make_finite([SparseVector({1: 5e-324, 2: 2.0, 3: 2.0 ** -1073})])
+    plus = finite.realize(("y", 0)).vector
+    assert dict(plus.items()) == {2: 1.0, 3: 2.0 ** -1074}
+    assert dict(finite.realize(("y", 1)).vector.items()) == {2: -1.0, 3: -(2.0 ** -1074)}
+
+
+def test_inner_of_block_held_vectors_is_the_flat_fsum():
+    rng = random.Random(5)
+    coords = [(b, i) for b in (1, 2, 3) for i in range(1, 9)] + [1, 2]
+    for _ in range(200):
+        u, v = (SparseVector({i: rng.choice([0.1, -0.7, 1e-300, 3.0, rng.uniform(-1, 1)])
+                              for i in rng.sample(coords, rng.randint(0, 12))}) for _ in "uv")
+        want = inner(SparseVector(dict(u.items())), SparseVector(dict(v.items())))
+        for f in (u, v):
+            block_parts(f)
+        # held as blocks alone after a step that changes nothing
+        u, v = (subtract_scaled(f, 0.0, f) for f in (u, v))
+        one = lifted(2, u.block_restriction(2))
+        assert inner(u, v).hex() == want.hex()
+        assert inner(v, one).hex() == inner(one, v).hex() == inner(
+            SparseVector(dict(v.items())), SparseVector(dict(one.items()))).hex()
