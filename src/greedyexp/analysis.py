@@ -51,30 +51,25 @@ class VerificationReport:
         return VerificationReport(self.checks + other.checks)
 
 
-def _energy_residuals(trace: Trace):
-    """(step, relative violation) of the norm recursion, skipping step 1 when
-    the initial norm was not recorded (CSV traces)."""
-    prev = trace.initial_norm
-    for r in trace.steps:
-        if prev is not None:
-            lhs = r.residual_norm ** 2
-            rhs = prev ** 2 - 2.0 * r.c * r.ip + r.c ** 2
-            scale = max(prev ** 2 + 2.0 * abs(r.c * r.ip) + r.c ** 2, 1e-300)
-            yield r.m, abs(lhs - rhs) / scale
-        prev = r.residual_norm
-
-
 def verify_energy_identity(trace: Trace, tol: float = 1e-10) -> VerificationReport:
     """||f_m||^2 == ||f_{m-1}||^2 - 2 c_m <f_{m-1}, phi_m> + c_m^2, relative to
-    the magnitude of the terms."""
+    the magnitude of the terms. Step 1 is skipped when the initial norm was
+    not recorded (CSV traces)."""
     if not trace.steps:
         raise PreconditionUnmetError("energy identity needs a nonempty trace")
     worst, at, count = 0.0, None, 0
-    for m, violation in _energy_residuals(trace):
-        count += 1
-        # a NaN fails `violation <= worst`; once worst is NaN, it stays
-        if not violation <= worst and worst == worst:
-            worst, at = violation, m
+    prev = trace.initial_norm
+    for r in trace.steps:
+        if prev is not None:
+            count += 1
+            lhs = r.residual_norm ** 2
+            rhs = prev ** 2 - 2.0 * r.c * r.ip + r.c ** 2
+            scale = max(prev ** 2 + 2.0 * abs(r.c * r.ip) + r.c ** 2, 1e-300)
+            violation = abs(lhs - rhs) / scale
+            # a NaN fails `violation <= worst`; once worst is NaN, it stays
+            if not violation <= worst and worst == worst:
+                worst, at = violation, r.m
+        prev = r.residual_norm
     return VerificationReport([CheckResult("energy_identity", worst <= tol, worst, at, count)])
 
 

@@ -29,14 +29,17 @@ coordinates only:
   ``tail_top`` reads the largest magnitude and ``tail_peak`` also the entries
   near it. Nodes whose entry has changed stay in the heap until they surface.
   The heap is handed over, not copied: v drops it and rebuilds it if it is
-  queried again.
+  queried again. A NaN on the heap's indices raises GreedyExpansionError when
+  the heap is read, as a NaN sup of a head does. Only a vector whose square
+  sum is None, some square not being finite, is scanned for one.
 
 A block-indexed vector splits into its block restrictions (``block_parts``),
 all of them in one pass the first time one is asked for. Each restriction sits
 beside a memo that a direct sum fills with the block's sup. From then on its
 steps leave the flat dict alone: a step steps only the restrictions of the
-blocks its atom touches, each by the update above, and shares the other
-restrictions and their memos. The result is a ``_Blocked`` vector, held as its
+blocks its atom touches, each read by ``block_restriction`` (empty if v lacks
+the block) and stepped by the update above, and shares the other restrictions
+and their memos. The result is a ``_Blocked`` vector, held as its
 restrictions alone. Its square sum is the sum of theirs, and ``inner`` with an
 atom lifted into a direct sum, which is held the same way, is the component
 ``inner`` on one restriction. Its flat dict is built only when it is read.
@@ -51,6 +54,8 @@ from __future__ import annotations
 import heapq
 import math
 from typing import Iterable, Iterator, Tuple, Union
+
+from .errors import GreedyExpansionError
 
 Index = Union[int, Tuple[int, int]]
 
@@ -89,14 +94,7 @@ class SparseVector:
     __slots__ = ("_entries", "_square_sum", "_heap", "_blocks", "_undo")
 
     def __init__(self, entries: dict | None = None):
-        clean = {}
-        if entries:
-            for index, value in entries.items():
-                validate_index(index)
-                value = float(value)
-                if value != 0.0:
-                    clean[index] = value
-        _set_entries(self, clean)
+        _set_entries(self, _clean(entries.items()) if entries else {})
         _set_square_sum(self, None)
         _set_heap(self, None)
         _set_blocks(self, None)
@@ -118,16 +116,7 @@ class SparseVector:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[Index, float]]) -> "SparseVector":
-        entries = {}
-        for index, value in pairs:
-            if isinstance(index, list):
-                index = tuple(index)
-            validate_index(index)
-            if index in entries:
-                raise ValueError(f"duplicate coordinate index {index!r}")
-            entries[index] = float(value)
-        # every index is checked once, here
-        return cls._trusted({i: x for i, x in entries.items() if x != 0.0})
+        return cls._trusted(_clean(pairs))
 
     def items(self) -> Iterator[Tuple[Index, float]]:
         # a snapshot, like support(): a later step may take the dict over
@@ -177,6 +166,21 @@ class SparseVector:
         inside = ", ".join(f"{i}: {v!r}" for i, v in sorted(
             self._entries.items(), key=lambda kv: index_key(kv[0])))
         return f"SparseVector({{{inside}}})"
+
+
+def _clean(pairs) -> dict:
+    """The entry dict of (index, value) pairs: each index validated once (a
+    list read as a tuple, a repeat a ValueError), each value a float, exact
+    zeros dropped."""
+    entries = {}
+    for index, value in pairs:
+        if isinstance(index, list):
+            index = tuple(index)
+        validate_index(index)
+        if index in entries:
+            raise ValueError(f"duplicate coordinate index {index!r}")
+        entries[index] = float(value)
+    return {i: x for i, x in entries.items() if x != 0.0}
 
 
 # slot and class setters (and slot deleters), which bypass the immutability
@@ -305,10 +309,9 @@ def inner(u: SparseVector, v: SparseVector) -> float:
     pu, pv = u._blocks, v._blocks
     if pu is not None and pv is not None and 1 in (len(pu), len(pv)):
         if len(pv) == 1:
-            pu, pv = pv, pu
+            pu, v = pv, u
         for l, (x, _) in pu.items():
-            part = pv.get(l)
-            return 0.0 if part is None else inner(x, part[0])
+            return inner(x, v.block_restriction(l))
     a, b = u._entries, v._entries
     if len(b) < len(a):
         a, b = b, a
@@ -363,12 +366,7 @@ def subtract_scaled(v: SparseVector, c: float, a: SparseVector) -> SparseVector:
         return _step(v, c, pairs, _exact_square_sum(v))
     parts = dict(parts)
     for l, (al, _) in block_parts(a).items():
-        part = parts.get(l)
-        vl = SparseVector._trusted({}) if part is None else part[0]
-        pairs = al._entries.items()
-        if al is vl:
-            pairs = list(pairs)
-        wl = _step(vl, c, pairs, _exact_square_sum(vl))
+        wl = subtract_scaled(v.block_restriction(l), c, al)
         if wl._entries:
             parts[l] = (wl, {})
         else:
@@ -444,7 +442,11 @@ def _exact_sum(terms: list) -> int:
 
 def _magnitude_heap(v: SparseVector, start: int) -> list:
     """v's heap of (-|x|, i) over the indices >= start, rebuilt when v has
-    none, has one for another start, or has one that is mostly stale nodes."""
+    none, has one for another start, or has one that is mostly stale nodes.
+
+    A NaN entry there raises GreedyExpansionError: its node would never read
+    as current. Only a vector whose exact square sum is None can hold one, so
+    only such a vector's nodes are scanned."""
     heap = v._heap
     if heap is None or heap[0] != start or len(heap[1]) > 2 * len(v._entries) + 16:
         items = v._entries.items()
@@ -453,6 +455,10 @@ def _magnitude_heap(v: SparseVector, start: int) -> list:
         heap = (start, [(-abs(x), i) for i, x in items])
         heapq.heapify(heap[1])
         _set_heap(v, heap)
+    # a NaN entry stays NaN under every step, so a NaN node is never stale
+    if v._square_sum is None and _exact_square_sum(v) is None and any(
+            n != n for n, _ in heap[1]):
+        raise GreedyExpansionError("sup is nan: the vector has a NaN entry")
     return heap[1]
 
 

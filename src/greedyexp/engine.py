@@ -6,18 +6,12 @@ remainder; budget truncation and early exits are recorded as Exhausted so that
 analysis never mistakes them for convergence.
 
 Every remainder reads as a new immutable vector, so a policy may keep the ones
-it is handed. On a basis tail a step still costs only O(|atom support| * log n)
-and copies nothing: ``subtract_scaled`` hands the remainder's entry dict, its
-exact square sum and its magnitude heap on to the next remainder, and a kept
-remainder rebuilds its own entries from a reverse diff only when it is read
-(see ``core``). So the sup and the recorded residual norm, bit-identical to an
-fsum over all entries, need no pass over the support. Inside a direct sum the
-remainder is held as its block restrictions alone, each with its block's
-memoized sup: a step updates the one restriction its atom lies in and selects
-again only in that block, and the flat entries are built only if a policy
-reads them. A run starts from a
-private copy of the target, so it never fills or takes over the caller's
-caches and concurrent runs on one target share no mutable state.
+it is handed, though not read one in another thread while the run goes on:
+vectors are not thread-safe. The recorded residual norm is bit-identical to an
+fsum over all entries, and a step on a basis tail costs O(|atom support| *
+log n); ``core``'s docstring says how. A run starts from a private copy of the
+target, so it never fills or takes over the caller's caches and concurrent
+runs on one target share no mutable state.
 """
 
 from __future__ import annotations

@@ -645,3 +645,20 @@ def test_inner_of_block_held_vectors_is_the_flat_fsum():
         assert inner(u, v).hex() == want.hex()
         assert inner(v, one).hex() == inner(one, v).hex() == inner(
             SparseVector(dict(v.items())), SparseVector(dict(one.items()))).hex()
+
+
+def test_a_step_into_a_block_the_remainder_lacks_starts_that_block():
+    f = SparseVector({(1, 1): 0.5, (1, 2): -0.25})
+    block_parts(f)
+    atom = lifted(2, SparseVector({3: 0.6, 4: 0.8}))
+    g = subtract_scaled(f, 0.5, atom)
+    assert dict(g.items()) == {(1, 1): 0.5, (1, 2): -0.25, (2, 3): -0.3, (2, 4): -0.4}
+    # the untouched block is shared, the new one is held as its own restriction
+    assert g.block_restriction(1) is f.block_restriction(1)
+    assert dict(g.block_restriction(2).items()) == {3: -0.3, 4: -0.4}
+    assert g.norm() == SparseVector(dict(g.items())).norm()
+    assert inner(g, atom) == inner(SparseVector(dict(g.items())), SparseVector(dict(atom.items())))
+    assert f.block_restriction(2).is_zero()
+    # stepping the new block away leaves no part for it
+    h = subtract_scaled(g, -0.5, atom)
+    assert h == f and 2 not in block_parts(h)

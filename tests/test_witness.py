@@ -124,6 +124,48 @@ def test_carried_heaps_give_the_same_sup(base, draws, updates):
 
 
 # ---------------------------------------------------------------------------
+# a NaN on a basis tail raises as one on a head does
+# ---------------------------------------------------------------------------
+
+NAN_MESSAGE = "^sup is nan: the vector has a NaN entry$"
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("witness", [True, False])
+def test_nan_on_the_basis_raises_in_both_witness_modes(witness):
+    f = SparseVector({1: NAN, 2: 0.5, 3: 0.7})
+    with pytest.raises(GreedyExpansionError, match=NAN_MESSAGE):
+        ONB.sup_inner(f) if witness else ONB.sup_inner(f, witness=False)
+
+
+@pytest.mark.parametrize("index", [5, 1])
+def test_nan_on_an_augmented_tail_raises_as_on_its_head(index):
+    # coordinate 1 is the head's, coordinate 5 the tail's
+    d = make_augmented_onb([SparseVector({1: 1.0})], [1])
+    with pytest.raises(GreedyExpansionError, match=NAN_MESSAGE):
+        d.sup_inner(SparseVector({index: NAN, 2: 0.5}))
+
+
+@pytest.mark.parametrize("basis", [ONB, make_augmented_onb([SparseVector({1: 1.0})], [1])])
+def test_nan_in_a_basis_block_of_a_direct_sum_raises(basis):
+    d = direct_sum([make_finite([SparseVector({1: 1.0})]), basis])
+    f = SparseVector({(1, 1): 0.5, (2, 2): 0.25, (2, 5): NAN})
+    with pytest.raises(GreedyExpansionError, match=NAN_MESSAGE):
+        d.sup_inner(f)
+
+
+@pytest.mark.parametrize("witness", [True, False])
+def test_nan_that_a_step_writes_into_a_carried_heap_raises(witness):
+    f = SparseVector({1: float("inf"), 2: 0.5})
+    assert answer(f, witness)[0] == float("inf").hex()
+    # inf - inf: the handed-over heap gets a NaN node, and is not rebuilt
+    g = subtract_scaled(f, 1.0, SparseVector({1: float("inf")}))
+    assert g._heap is not None
+    with pytest.raises(GreedyExpansionError, match=NAN_MESSAGE):
+        ONB.sup_inner(g) if witness else ONB.sup_inner(g, witness=False)
+
+
+# ---------------------------------------------------------------------------
 # the engine: who is asked for what, and what a scripted replay skips
 # ---------------------------------------------------------------------------
 
