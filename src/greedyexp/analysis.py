@@ -1,8 +1,12 @@
 """Post-hoc verification of traces: the identities a sound run must satisfy.
 
-All checks are pure functions of the trace; a report always carries the worst
-observed violation, also on pass, so near-misses are visible. A NaN violation
-is the worst of all: the check fails and reports the step of the first one.
+All checks are pure functions of the trace. Each computes one violation per
+step it applies to and hands them to the one scan, ``_worst_step``: the first
+largest violation is the worst, a NaN violation is worse than any number (the
+check fails and reports the step of the first one), and the report carries
+the worst also on pass, so near-misses are visible. Squares are products, so
+a value whose square overflows yields an inf or NaN violation, never an
+OverflowError.
 """
 
 from __future__ import annotations
@@ -51,39 +55,42 @@ class VerificationReport:
         return VerificationReport(self.checks + other.checks)
 
 
+def _worst_step(name: str, trace: Trace, steps: list, violations: list,
+                tol: float) -> VerificationReport:
+    """The one-check report of violations[i], observed at step steps[i]: the
+    first largest violation is the worst, a NaN is worse than any number, and
+    the check passes when the worst is at most tol. An empty trace raises."""
+    if not trace.steps:
+        raise PreconditionUnmetError(f"{name.replace('_', ' ')} needs a nonempty trace")
+    worst, at = 0.0, None
+    for m, violation in zip(steps, violations):
+        # a NaN fails `violation <= worst`; once worst is NaN, it stays
+        if not violation <= worst and worst == worst:
+            worst, at = violation, m
+    return VerificationReport([CheckResult(name, worst <= tol, worst, at, len(violations))])
+
+
 def verify_energy_identity(trace: Trace, tol: float = 1e-10) -> VerificationReport:
     """||f_m||^2 == ||f_{m-1}||^2 - 2 c_m <f_{m-1}, phi_m> + c_m^2, relative to
     the magnitude of the terms. Step 1 is skipped when the initial norm was
     not recorded (CSV traces)."""
-    if not trace.steps:
-        raise PreconditionUnmetError("energy identity needs a nonempty trace")
-    worst, at, count = 0.0, None, 0
+    steps, violations = [], []
     prev = trace.initial_norm
     for r in trace.steps:
         if prev is not None:
-            count += 1
-            lhs = r.residual_norm ** 2
-            rhs = prev ** 2 - 2.0 * r.c * r.ip + r.c ** 2
-            scale = max(prev ** 2 + 2.0 * abs(r.c * r.ip) + r.c ** 2, 1e-300)
-            violation = abs(lhs - rhs) / scale
-            # a NaN fails `violation <= worst`; once worst is NaN, it stays
-            if not violation <= worst and worst == worst:
-                worst, at = violation, r.m
+            c = r.c
+            rhs = prev * prev - 2.0 * c * r.ip + c * c
+            scale = max(prev * prev + 2.0 * abs(c * r.ip) + c * c, 1e-300)
+            steps.append(r.m)
+            violations.append(abs(r.residual_norm * r.residual_norm - rhs) / scale)
         prev = r.residual_norm
-    return VerificationReport([CheckResult("energy_identity", worst <= tol, worst, at, count)])
+    return _worst_step("energy_identity", trace, steps, violations, tol)
 
 
 def verify_greedy_condition(trace: Trace, tol: float = 1e-12) -> VerificationReport:
     """ip >= t*sup - tol at every recorded step."""
-    if not trace.steps:
-        raise PreconditionUnmetError("greedy condition needs a nonempty trace")
-    worst, at = 0.0, None
-    for r in trace.steps:
-        violation = r.t * r.sup - r.ip
-        if not violation <= worst and worst == worst:
-            worst, at = violation, r.m
-    return VerificationReport([CheckResult(
-        "greedy_condition", worst <= tol, worst, at, len(trace.steps))])
+    return _worst_step("greedy_condition", trace, [r.m for r in trace.steps],
+                       [r.t * r.sup - r.ip for r in trace.steps], tol)
 
 
 def verify_descent_inequality(trace: Trace, c_est: CoherenceEstimate, epsilon: float,
@@ -92,53 +99,46 @@ def verify_descent_inequality(trace: Trace, c_est: CoherenceEstimate, epsilon: f
 
     On steps m >= from_step whose entering residual is at least epsilon/c, the
     squared norm must drop by at least c_m * t_m * epsilon. Requires the window
-    condition c_m/t_m < epsilon and c_m < epsilon/c beyond from_step. With the
-    true coherence constant the bound cannot fail on a sound trace; a sampled
-    estimate only upper-bounds that constant, so failures under an estimate
-    are advisory. An epsilon that is not finite and > 0 raises
+    condition t_m > 0, c_m/t_m < epsilon and c_m < epsilon/c beyond from_step.
+    With the true coherence constant the bound cannot fail on a sound trace; a
+    sampled estimate only upper-bounds that constant, so failures under an
+    estimate are advisory. An epsilon that is not finite and > 0 raises
     ConfigInvalidError.
     """
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ConfigInvalidError(f"epsilon must be finite and > 0, got {epsilon}")
-    c = c_est.value
-    threshold = epsilon / c
+    threshold = epsilon / c_est.value
     prev = trace.initial_norm
-    worst, at, applicable, seen = 0.0, None, 0, 0
+    steps, violations, seen = [], [], 0
     for r in trace.steps:
         if r.m >= from_step:
             seen += 1
-            if not (r.c / r.t < epsilon and r.c < threshold):
+            if not (r.t > 0.0 and r.c / r.t < epsilon and r.c < threshold):
                 raise PreconditionUnmetError(
                     f"step {r.m}: c={r.c:g}, t={r.t:g} violate the window condition "
                     f"(need c/t < {epsilon:g} and c < {threshold:g}); raise from_step")
             if prev is not None and prev >= threshold:
-                applicable += 1
-                violation = r.residual_norm ** 2 - (prev ** 2 - r.c * r.t * epsilon)
-                if not violation <= worst and worst == worst:
-                    worst, at = violation, r.m
+                steps.append(r.m)
+                violations.append(r.residual_norm * r.residual_norm
+                                  - (prev * prev - r.c * r.t * epsilon))
         prev = r.residual_norm
     if seen == 0:
         raise PreconditionUnmetError(
             f"no steps at or beyond from_step={from_step} in a {len(trace.steps)}-step trace")
-    return VerificationReport([CheckResult(
-        "descent_inequality", worst <= tol, worst, at, applicable)])
+    return _worst_step("descent_inequality", trace, steps, violations, tol)
 
 
 def verify_block_partition(trace: Trace) -> VerificationReport:
     """Direct-sum bookkeeping: every step carries a block label consistent with
     its atom id. Disjointness and coverage of the per-block step sets then hold
-    by construction; a mixed trace (some rows labeled, some not) fails."""
-    if not trace.steps:
-        raise PreconditionUnmetError("block partition needs a nonempty trace")
-    bad, at = 0, None
-    labeled = sum(1 for r in trace.steps if r.block is not None)
+    by construction; a mixed trace (some rows labeled, some not) fails, with
+    violation 1.0 at its first bad step."""
+    unlabeled = all(r.block is None for r in trace.steps)
+    violations = []
     for r in trace.steps:
         expected = r.atom.id[1] if r.atom.id and r.atom.id[0] == "b" else None
-        consistent = (r.block == expected) and ((r.block is None) == (labeled == 0))
-        if not consistent and at is None:
-            bad, at = 1, r.m
-    return VerificationReport([CheckResult(
-        "block_partition", bad == 0, float(bad), at, len(trace.steps))])
+        violations.append(0.0 if r.block == expected and (r.block is None) == unlabeled else 1.0)
+    return _worst_step("block_partition", trace, [r.m for r in trace.steps], violations, 0.0)
 
 
 def residual_extrema(trace: Trace, burn_in: int = 0):

@@ -165,7 +165,7 @@ def cmd_counterexample(args) -> int:
 def cmd_check(args) -> int:
     try:
         trace = engine.read_trace(args.trace)
-    except (OSError, ValueError, KeyError, GreedyExpansionError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, GreedyExpansionError) as exc:
         return _fail(f"cannot read trace {args.trace}: {exc}")
     if not trace.steps:
         return _fail(f"trace {args.trace} has no steps")

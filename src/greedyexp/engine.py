@@ -92,8 +92,9 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
     exactly empty. stop_below is a budget device: once the recorded residual
     norm falls strictly below it the run ends as Exhausted with a reason, never
     as Stopped. Scripted-plan violations and exhausted explicit sequences end
-    the run as Aborted. A target whose norm is not finite and a NaN stop_below
-    raise ConfigInvalidError.
+    the run as Aborted, as does a step whose residual norm is not finite or
+    overflows; that step is not recorded. A target whose norm is not finite or
+    overflows and a NaN stop_below raise ConfigInvalidError.
     """
     if max_steps < 0:
         raise ConfigInvalidError("max_steps must be >= 0")
@@ -105,9 +106,13 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
     sup_alone = (not getattr(policy, "needs_witness", True)
                  and getattr(dictionary, "witness_optional", False))
     remainder = SparseVector._trusted(dict(f._entries))
-    trace = Trace(initial_norm=norm(f), max_steps=max_steps)
-    if not math.isfinite(trace.initial_norm):
-        raise ConfigInvalidError(f"target norm must be finite, got {trace.initial_norm}")
+    try:
+        initial_norm = norm(f)
+    except OverflowError:
+        initial_norm = math.inf
+    if not math.isfinite(initial_norm):
+        raise ConfigInvalidError(f"target norm must be finite, got {initial_norm}")
+    trace = Trace(initial_norm=initial_norm, max_steps=max_steps)
     for m in range(1, max_steps + 1):
         if remainder.is_zero():
             trace.status = Status.stopped(m)
@@ -125,9 +130,16 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
             return trace
         ip = inner(remainder, atom.vector)
         remainder = subtract_scaled(remainder, c, atom.vector)
+        try:
+            residual = norm(remainder)
+        except OverflowError:
+            residual = math.inf
+        if not residual < math.inf:
+            trace.status = Status.aborted(m, f"residual norm {residual} is not finite")
+            return trace
         block = atom.id[1] if atom.id[0] == "b" else None
-        trace.steps.append(StepRecord(m, atom, c, t, ip, sup, norm(remainder), block))
-        if stop_below is not None and trace.steps[-1].residual_norm < stop_below:
+        trace.steps.append(StepRecord(m, atom, c, t, ip, sup, residual, block))
+        if stop_below is not None and residual < stop_below:
             trace.status = Status.exhausted(m, reason="early_exit_threshold")
             return trace
     trace.status = Status.exhausted(max_steps)
@@ -171,45 +183,43 @@ def write_trace_csv(trace: Trace, path: str):
                               "" if r.block is None else r.block))
 
 
-def _record_from_row(row: dict) -> StepRecord:
-    atom = Atom(parse_atom_id(row["atom"]), SparseVector())
-    block = row.get("block") or None
-    return StepRecord(
-        m=int(row["m"]), atom=atom, c=float(row["c"]), t=float(row["t"]),
-        ip=float(row["ip"]), sup=float(row["sup"]),
-        residual_norm=float(row["residual_norm"]),
-        block=int(block) if block is not None else None,
-    )
-
-
-def read_trace_csv(path: str) -> Trace:
-    """Load step records from CSV. Atoms come back with their ids and one
-    shared empty vector; the initial norm and status are not part of the CSV
-    format and come back as None. A wrong header, or a row that does not have
-    exactly one field per header column, raises GreedyExpansionError; blank
-    lines are skipped."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise GreedyExpansionError(
-                f"unexpected trace header {header!r}, want {CSV_HEADER!r}")
-        empty = SparseVector()
-        atoms = {}
-        steps = []
-        for row in reader:
+def _decode_steps(rows, where) -> list:
+    """Step records from rows of the eight CSV_HEADER fields as text: the one
+    set of rules for CSV rows and JSON steps. Atoms come back with their ids
+    and one shared empty vector per id; an empty row is skipped. A row without
+    exactly one field per column, or with a field that does not parse, raises
+    GreedyExpansionError led by where(n), n the number of steps decoded."""
+    empty = SparseVector()
+    atoms = {}
+    steps = []
+    try:
+        for row in rows:
             if len(row) != len(CSV_HEADER):
                 if not row:
                     continue
-                raise GreedyExpansionError(
-                    f"line {reader.line_num}: {len(row)} fields, want {len(CSV_HEADER)}")
+                raise GreedyExpansionError(f"{len(row)} fields, want {len(CSV_HEADER)}")
             m, text, c, t, ip, sup, residual_norm, block = row
             atom = atoms.get(text)
             if atom is None:
                 atom = atoms[text] = Atom(parse_atom_id(text), empty)
             steps.append(StepRecord(int(m), atom, float(c), float(t), float(ip), float(sup),
                                     float(residual_norm), int(block) if block else None))
-    return Trace(steps=steps)
+    except (GreedyExpansionError, TypeError, ValueError, csv.Error) as exc:
+        raise GreedyExpansionError(f"{where(len(steps))}: {exc}") from exc
+    return steps
+
+
+def read_trace_csv(path: str) -> Trace:
+    """Load step records from CSV by _decode_steps' rules. The initial norm and
+    status are not part of the CSV format and come back as None. A wrong
+    header raises GreedyExpansionError; blank lines are skipped."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != CSV_HEADER:
+            raise GreedyExpansionError(
+                f"unexpected trace header {header!r}, want {CSV_HEADER!r}")
+        return Trace(steps=_decode_steps(reader, lambda n: f"line {reader.line_num}"))
 
 
 def trace_to_json_obj(trace: Trace) -> dict:
@@ -229,16 +239,35 @@ def write_trace_json(trace: Trace, path: str):
         json.dump(trace_to_json_obj(trace), fh, indent=1)
 
 
+def _json_field(value) -> str:
+    # a JSON value as the CSV field of the same value: null is the empty field
+    # and a number its JSON text, which int() and float() read back exactly; a
+    # string keeps its quotes, so it reads as no number
+    return "" if value is None else json.dumps(value)
+
+
 def read_trace_json(path: str) -> Trace:
+    """Load a trace written by write_trace_json. Each step is decoded as the
+    CSV row of its eight values (the atom as itself, every other value as its
+    _json_field), so one set of rules reads both formats; a step without a
+    block key has none. Anything the writer could not have written raises
+    GreedyExpansionError."""
     with open(path) as fh:
         obj = json.load(fh)
+    steps = obj.get("steps") if isinstance(obj, dict) else None
+    if not (isinstance(steps, list) and all(isinstance(s, dict) for s in steps)):
+        raise GreedyExpansionError("a JSON trace is an object whose steps are objects")
+    rows = ([s.get(k) if k == "atom" else _json_field(s.get(k)) for k in CSV_HEADER]
+            for s in steps)
+    records = _decode_steps(rows, lambda n: f"step {n + 1}")
+    head = [_json_field(obj.get(k)) for k in ("initial_norm", "max_steps")]
     status = obj.get("status")
-    return Trace(
-        steps=[_record_from_row(row) for row in obj["steps"]],
-        initial_norm=obj.get("initial_norm"),
-        status=None if status is None else Status(status["kind"], status["step"], status["reason"]),
-        max_steps=obj.get("max_steps"),
-    )
+    try:
+        return Trace(steps=records, initial_norm=float(head[0]) if head[0] else None,
+                     max_steps=int(head[1]) if head[1] else None,
+                     status=None if status is None else Status(**status))
+    except (TypeError, ValueError) as exc:
+        raise GreedyExpansionError(f"bad initial_norm, max_steps or status: {exc}") from exc
 
 
 def read_trace(path: str) -> Trace:
