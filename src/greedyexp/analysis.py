@@ -12,7 +12,7 @@ OverflowError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .dictionaries import CoherenceEstimate
@@ -29,11 +29,7 @@ class CheckResult:
     applicable_steps: Optional[int] = None
 
     def to_json_obj(self) -> dict:
-        return {
-            "name": self.name, "passed": self.passed,
-            "worst_violation": self.worst_violation, "step": self.step,
-            "applicable_steps": self.applicable_steps,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -36,18 +36,13 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _target_from_config(spec: dict) -> SparseVector:
     if not isinstance(spec, dict):
         raise ConfigInvalidError("target spec must be an object")
     if "inline" in spec:
         return SparseVector.from_json(spec["inline"])
     if "file" in spec:
-        return SparseVector.from_json(_load_json(spec["file"]))
+        return SparseVector.from_json(engine._load_json(spec["file"]))
     if "counterexample" in spec:
         ce = spec["counterexample"]
         cfg = counterexample.default_config(
@@ -87,7 +82,7 @@ def _effective_seed(config: dict):
 def run_experiment(config_path: str) -> int:
     """Execute one run config; returns the process exit code."""
     try:
-        config = _load_json(config_path)
+        config = engine._load_json(config_path)
         target = _target_from_config(config["target"])
         dictionary = dictionary_from_config(config["dictionary"])
         coefficients = sequences.coefficients_from_config(config["coefficients"])

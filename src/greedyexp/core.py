@@ -29,9 +29,10 @@ coordinates only:
   ``tail_top`` reads the largest magnitude and ``tail_peak`` also the entries
   near it. Nodes whose entry has changed stay in the heap until they surface.
   The heap is handed over, not copied: v drops it and rebuilds it if it is
-  queried again. A NaN on the heap's indices raises GreedyExpansionError when
-  the heap is read, as a NaN sup of a head does. Only a vector whose square
-  sum is None, some square not being finite, is scanned for one.
+  queried again. A NaN entry's node is the sentinel (-inf, 0), which sorts
+  before every other node (index 0 is no coordinate) and never goes stale, as
+  a NaN entry stays NaN under every step; the read that meets it raises
+  GreedyExpansionError, as a NaN sup of a head does.
 
 A block-indexed vector splits into its block restrictions (``block_parts``),
 all of them in one pass the first time one is asked for. Each restriction sits
@@ -338,7 +339,7 @@ def _exact_square_sum(v: SparseVector):
     total = v._square_sum
     if total is None:
         try:
-            total = sum(_units(x * x) for x in v._entries.values())
+            total = _exact_sum([x * x for x in v._entries.values()])
         except (OverflowError, ValueError):
             return None
         _set_square_sum(v, total)
@@ -397,7 +398,7 @@ def _step(v: SparseVector, c: float, pairs, total) -> SparseVector:
         else:
             entries[i] = new
             if heap is not None and (start == 1 or i >= start):
-                heapq.heappush(nodes, (-abs(new), i))
+                heapq.heappush(nodes, (-abs(new), i) if new == new else _NAN_NODE)
         if terms is not None:
             terms += new * new, -(old * old)
     if total is not None and undo:
@@ -440,32 +441,31 @@ def _exact_sum(terms: list) -> int:
     return rest
 
 
-def _magnitude_heap(v: SparseVector, start: int) -> list:
-    """v's heap of (-|x|, i) over the indices >= start, rebuilt when v has
-    none, has one for another start, or has one that is mostly stale nodes.
+# the heap node of a NaN entry: it sorts before every (-|x|, i) node, an
+# infinite entry's among them, and index 0 is no coordinate
+_NAN_NODE = (-math.inf, 0)
 
-    A NaN entry there raises GreedyExpansionError: its node would never read
-    as current. Only a vector whose exact square sum is None can hold one, so
-    only such a vector's nodes are scanned."""
+
+def _magnitude_heap(v: SparseVector, start: int) -> list:
+    """v's heap of (-|x|, i) over the indices >= start, with _NAN_NODE for a
+    NaN entry, rebuilt when v has none, has one for another start, or has one
+    that is mostly stale nodes."""
     heap = v._heap
     if heap is None or heap[0] != start or len(heap[1]) > 2 * len(v._entries) + 16:
         items = v._entries.items()
         if start != 1:
             items = ((i, x) for i, x in items if i >= start)
-        heap = (start, [(-abs(x), i) for i, x in items])
+        heap = (start, [(-abs(x), i) if x == x else _NAN_NODE for i, x in items])
         heapq.heapify(heap[1])
         _set_heap(v, heap)
-    # a NaN entry stays NaN under every step, so a NaN node is never stale
-    if v._square_sum is None and _exact_square_sum(v) is None and any(
-            n != n for n, _ in heap[1]):
-        raise GreedyExpansionError("sup is nan: the vector has a NaN entry")
     return heap[1]
 
 
 def tail_top(v: SparseVector, start: int):
     """The largest magnitude over v's entries on indices >= start; None when
     there is no such entry. Stale nodes are dropped from the root of v's
-    magnitude heap until it holds a current entry, which it then keeps."""
+    magnitude heap until it holds a current entry, which it then keeps. A NaN
+    entry raises GreedyExpansionError: its node surfaces first."""
     nodes = _magnitude_heap(v, start)
     entries = v._entries
     while nodes:
@@ -473,6 +473,8 @@ def tail_top(v: SparseVector, start: int):
         x = entries.get(i)
         if x is not None and abs(x) == -neg:
             return -neg
+        if not i:
+            raise GreedyExpansionError("sup is nan: the vector has a NaN entry")
         heapq.heappop(nodes)
     return None
 

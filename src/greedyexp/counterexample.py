@@ -143,22 +143,19 @@ def _ulp_candidates(x: float):
         yield from (c for c in (up, dn) if c > 0.0)
 
 
-def _exact_saturation(m: float, q: float) -> Optional[float]:
-    """Positive coefficient c with fl(m - c) == -q, if one exists near m + q."""
-    for c in _ulp_candidates(m + q):
-        if m - c == -q:
-            return c
-    return None
-
-
-def _nearest_saturation(m: float, q: float) -> float:
-    """Fallback: the c whose landing point is closest to -q (ties to smaller c)."""
+def _saturation(m: float, q: float) -> tuple:
+    """(c, exact): the positive coefficient c near m + q whose landing point
+    fl(m - c) is closest to -q (ties to the smaller c), and whether it is -q
+    exactly. A float sum is 0.0 only when it is exactly 0, so the first
+    candidate with a zero gap lands on -q and ends the search."""
     best = None
     for c in _ulp_candidates(m + q):
         gap = abs((m - c) + q)
+        if gap == 0.0:
+            return c, True
         if best is None or gap < best[0] or (gap == best[0] and c < best[1]):
             best = (gap, c)
-    return best[1]
+    return best[1], False
 
 
 def _group_rounds(t: float, h: int):
@@ -180,7 +177,7 @@ def _group_rounds(t: float, h: int):
         if p == passes - 1:
             # Tune the last pass so saturation can land bit-exactly on 1/sqrt(h).
             c = next((cand for cand in _ulp_candidates(c)
-                      if _exact_saturation(abs(value - cand * s), q) is not None), c)
+                      if _saturation(abs(value - cand * s), q)[1]), c)
         rounds.append((c, s))
         value = value - c * s
     modulus = abs(value)
@@ -190,10 +187,7 @@ def _group_rounds(t: float, h: int):
             f"group h={h}: modulus {modulus:.17g} left the bracket [{lo:.17g}, {q:.17g}]")
 
     # saturation
-    c = _exact_saturation(modulus, q)
-    exact = c is not None
-    if not exact:
-        c = _nearest_saturation(modulus, q)
+    c, exact = _saturation(modulus, q)
     s = math.copysign(1.0, value)
     rounds.append((c, s))
     value = value - c * s

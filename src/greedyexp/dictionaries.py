@@ -100,22 +100,23 @@ def atom_id_str(aid: AtomId) -> str:
     raise ValueError(f"unknown atom id {aid!r}")
 
 
-_BASIS_RE = re.compile(r"^([+-])e(\d+)$")
-_DENSE_RE = re.compile(r"^y(\d+)$")
-_BLOCK_RE = re.compile(r"^b(\d+):(.+)$")
+# the string forms atom_id_str writes, and no other: numbers in ASCII digits
+# without leading zeros. It is matched with fullmatch, since "$" also matches
+# before a final newline
+_ATOM_ID_RE = re.compile(r"b(0|[1-9][0-9]*):(.+)|([+-])e(0|[1-9][0-9]*)|y(0|[1-9][0-9]*)")
 
 
 def parse_atom_id(text: str) -> AtomId:
-    m = _BASIS_RE.match(text)
-    if m:
-        return ("e", 0 if m.group(1) == "+" else 1, int(m.group(2)))
-    m = _DENSE_RE.match(text)
-    if m:
-        return ("y", int(m.group(1)))
-    m = _BLOCK_RE.match(text)
-    if m:
-        return ("b", int(m.group(1)), parse_atom_id(m.group(2)))
-    raise ValueError(f"cannot parse atom id {text!r}")
+    """The atom id whose atom_id_str is text; raises ValueError for any other text."""
+    m = _ATOM_ID_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(f"cannot parse atom id {text!r}")
+    block, inner_text, sign, index, k = m.groups()
+    if block is not None:
+        return ("b", int(block), parse_atom_id(inner_text))
+    if sign is not None:
+        return ("e", 0 if sign == "+" else 1, int(index))
+    return ("y", int(k))
 
 
 def basis_atom(index: int, sign: float) -> Atom:

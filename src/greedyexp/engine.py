@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from .core import SparseVector, inner, norm, subtract_scaled
@@ -33,8 +33,6 @@ from .errors import (
     UnknownAtomError,
 )
 
-CSV_HEADER = ["m", "atom", "c", "t", "ip", "sup", "residual_norm", "block"]
-
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -46,6 +44,9 @@ class StepRecord:
     sup: float
     residual_norm: float
     block: Optional[int] = None
+
+
+CSV_HEADER = [f.name for f in fields(StepRecord)]
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class Status:
         return cls("aborted", step=step, reason=reason)
 
     def to_json_obj(self) -> dict:
-        return {"kind": self.kind, "step": self.step, "reason": self.reason}
+        return asdict(self)
 
 
 @dataclass
@@ -215,7 +216,10 @@ def read_trace_csv(path: str) -> Trace:
     header raises GreedyExpansionError; blank lines are skipped."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise GreedyExpansionError(f"line {reader.line_num}: {exc}") from exc
         if header != CSV_HEADER:
             raise GreedyExpansionError(
                 f"unexpected trace header {header!r}, want {CSV_HEADER!r}")
@@ -227,10 +231,7 @@ def trace_to_json_obj(trace: Trace) -> dict:
         "initial_norm": trace.initial_norm,
         "max_steps": trace.max_steps,
         "status": None if trace.status is None else trace.status.to_json_obj(),
-        "steps": [{
-            "m": r.m, "atom": atom_id_str(r.atom.id), "c": r.c, "t": r.t, "ip": r.ip,
-            "sup": r.sup, "residual_norm": r.residual_norm, "block": r.block,
-        } for r in trace.steps],
+        "steps": [dict(vars(r), atom=atom_id_str(r.atom.id)) for r in trace.steps],
     }
 
 
@@ -246,14 +247,23 @@ def _json_field(value) -> str:
     return "" if value is None else json.dumps(value)
 
 
+def _load_json(path: str):
+    """The JSON document at path; one nested too deeply for the parser raises
+    GreedyExpansionError, not RecursionError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise GreedyExpansionError(f"JSON nested too deeply: {exc}") from exc
+
+
 def read_trace_json(path: str) -> Trace:
     """Load a trace written by write_trace_json. Each step is decoded as the
     CSV row of its eight values (the atom as itself, every other value as its
     _json_field), so one set of rules reads both formats; a step without a
     block key has none. Anything the writer could not have written raises
     GreedyExpansionError."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _load_json(path)
     steps = obj.get("steps") if isinstance(obj, dict) else None
     if not (isinstance(steps, list) and all(isinstance(s, dict) for s in steps)):
         raise GreedyExpansionError("a JSON trace is an object whose steps are objects")

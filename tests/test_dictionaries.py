@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedyexp.core import SparseVector, inner, norm
 from greedyexp.dictionaries import (
@@ -59,6 +61,38 @@ def test_atom_id_parse_rejects_garbage():
     for bad in ("e1", "+f2", "b2", "y-1", ""):
         with pytest.raises(ValueError):
             parse_atom_id(bad)
+
+
+ATOM_IDS = st.recursive(
+    st.tuples(st.just("e"), st.sampled_from([0, 1]), st.integers(0, 10 ** 30))
+    | st.tuples(st.just("y"), st.integers(0, 10 ** 30)),
+    lambda inner_ids: st.tuples(st.just("b"), st.integers(0, 10 ** 6), inner_ids),
+    max_leaves=4)
+ID_PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@ID_PROPERTY
+@given(ATOM_IDS)
+def test_atom_id_str_reads_back(aid):
+    assert parse_atom_id(atom_id_str(aid)) == aid
+
+
+@ID_PROPERTY
+@given(st.text(alphabet="+-eyb:0123456789\u0663\n ", max_size=12))
+def test_every_accepted_atom_id_text_is_the_one_the_writer_prints(text):
+    try:
+        aid = parse_atom_id(text)
+    except ValueError:
+        return
+    assert atom_id_str(aid) == text
+
+
+@pytest.mark.parametrize("bad", [
+    "+e1\n", "b2:+e1\n", "+e\u0663", "+e01", "y01", "b02:+e1", "b\u0663:+e1", "b2:+e1 ",
+    "b2:", "b2:\n+e1"])
+def test_atom_id_parse_rejects_what_the_writer_never_prints(bad):
+    with pytest.raises(ValueError, match="cannot parse atom id"):
+        parse_atom_id(bad)
 
 
 # ---------------------------------------------------------------------------

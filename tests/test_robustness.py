@@ -287,3 +287,69 @@ def test_block_partition_reports_the_first_bad_step_of_a_mixed_trace():
     assert check.applicable_steps == len(steps)
     ok = verify_block_partition(trace).checks[0]
     assert (ok.passed, ok.worst_violation, ok.step) == (True, 0.0, None)
+
+
+# ---------------------------------------------------------------------------
+# documents past the parsers' limits
+# ---------------------------------------------------------------------------
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+DEEP_MESSAGE = "JSON nested too deeply"
+# one header field longer than the csv module's field limit of 131 072 characters
+LONG_HEADER = "m" * 200_000 + "\r\n1,+e1,1,1,1,1,0,\r\n"
+LONG_MESSAGE = "line 1: field larger than field limit"
+
+
+def test_read_trace_json_rejects_a_deeply_nested_document(tmp_path):
+    (tmp_path / "deep.json").write_text(DEEP_JSON)
+    with pytest.raises(GreedyExpansionError, match=f"^{DEEP_MESSAGE}"):
+        read_trace_json(str(tmp_path / "deep.json"))
+
+
+def test_read_trace_csv_rejects_an_oversized_header(tmp_path):
+    (tmp_path / "long.csv").write_text(LONG_HEADER)
+    with pytest.raises(GreedyExpansionError, match=f"^{LONG_MESSAGE}"):
+        read_trace_csv(str(tmp_path / "long.csv"))
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("deep.json", DEEP_JSON, DEEP_MESSAGE), ("long.csv", LONG_HEADER, LONG_MESSAGE)],
+    ids=["deep_json", "long_header"])
+def test_check_trace_past_the_parser_limits_exits_1(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    code = main(["check", "--trace", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert one_error_line(err, f"error: cannot read trace {path}: {message}")
+
+
+def test_cli_run_deeply_nested_config_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    code = main(["run", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert one_error_line(err, f"error: {path}: {DEEP_MESSAGE}")
+
+
+def test_cli_run_deeply_nested_target_file_exits_1(tmp_path, capsys):
+    (tmp_path / "deep.json").write_text(DEEP_JSON)
+    path = run_config(tmp_path, [[1, 0.5]])
+    config = json.loads(open(path).read())
+    config["target"] = {"file": str(tmp_path / "deep.json")}
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    code = main(["run", "--config", path])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert one_error_line(err, f"error: {path}: {DEEP_MESSAGE}")
+
+
+def test_sweep_deeply_nested_config_exits_1(tmp_path, capsys):
+    (tmp_path / "deep.json").write_text(DEEP_JSON)
+    good = run_config(tmp_path, [[1, 0.5]])
+    deep = str(tmp_path / "deep.json")
+    assert main(["sweep", "--config", good, "--config", deep, "--jobs", "1"]) == 1
+    out = capsys.readouterr().out
+    assert f"ok   {good} (exit 0)" in out and f"FAIL {deep} (exit 1)" in out

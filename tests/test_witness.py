@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from test_incremental import TIED, tied_vector
 from test_screen import PLAIN, orthogonal, remainders
 
+import greedyexp.core as core
 import greedyexp.dictionaries as dictionaries
 from greedyexp.core import SparseVector, subtract_scaled
 from greedyexp.counterexample import build_plan, build_target, default_config, run_plan
@@ -163,6 +164,28 @@ def test_nan_that_a_step_writes_into_a_carried_heap_raises(witness):
     assert g._heap is not None
     with pytest.raises(GreedyExpansionError, match=NAN_MESSAGE):
         ONB.sup_inner(g) if witness else ONB.sup_inner(g, witness=False)
+
+
+@pytest.mark.parametrize("witness", [True, False])
+@pytest.mark.parametrize("entries", [{1: float("inf"), 2: NAN}, {1: NAN, 2: float("inf")}],
+                         ids=["inf_then_nan", "nan_then_inf"])
+def test_nan_beside_an_infinite_entry_raises_in_both_witness_modes(witness, entries):
+    # the NaN's node sorts before the infinite entry's, whatever their indices
+    with pytest.raises(GreedyExpansionError, match=NAN_MESSAGE):
+        ONB.sup_inner(SparseVector(entries), witness=witness)
+
+
+@pytest.mark.parametrize("witness", [True, False])
+def test_a_query_on_overflowing_squares_takes_no_square_sum(witness, monkeypatch):
+    # every square overflows, so the vector never caches a square sum; the
+    # heap finds a NaN by itself and needs none
+    f = SparseVector({i: 1e200 / i for i in range(1, 1001)})
+
+    def refuse(v):
+        raise AssertionError("a sup query took a square sum")
+    monkeypatch.setattr(core, "_exact_square_sum", refuse)
+    for _ in range(2):
+        assert ONB.sup_inner(f, witness=witness)[0] == 1e200
 
 
 # ---------------------------------------------------------------------------
