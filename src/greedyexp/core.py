@@ -56,7 +56,7 @@ import heapq
 import math
 from typing import Iterable, Iterator, Tuple, Union
 
-from .errors import GreedyExpansionError
+from .errors import ConfigInvalidError, GreedyExpansionError
 
 Index = Union[int, Tuple[int, int]]
 
@@ -449,9 +449,12 @@ _NAN_NODE = (-math.inf, 0)
 def _magnitude_heap(v: SparseVector, start: int) -> list:
     """v's heap of (-|x|, i) over the indices >= start, with _NAN_NODE for a
     NaN entry, rebuilt when v has none, has one for another start, or has one
-    that is mostly stale nodes."""
+    that is mostly stale nodes. A block-indexed entry raises
+    ConfigInvalidError: a basis tail lies on plain indices."""
     heap = v._heap
     if heap is None or heap[0] != start or len(heap[1]) > 2 * len(v._entries) + 16:
+        if tuple in set(map(type, v._entries)):
+            raise ConfigInvalidError("a basis tail takes plain indices, not (block, inner) pairs")
         items = v._entries.items()
         if start != 1:
             items = ((i, x) for i, x in items if i >= start)

@@ -7,9 +7,14 @@ is by the smallest atom id under a fixed total order so that traces are
 reproducible bit for bit. The symmetrized basis can also give the sup alone,
 for a policy that never reads the witness.
 
-Every dictionary but a direct sum is one description: a materialized `head` of
-atoms plus, unless `tail_start` is None, the untouched signed basis on indices
->= tail_start. A non-empty head is also kept as a dense float64 matrix. A query
+Every dictionary but a direct sum is one object, a `_Headed`: a materialized
+`head` of atoms plus, unless `tail_start` is None, the untouched signed basis on
+indices >= tail_start. Its subclasses (the symmetrized basis, finite
+dictionaries, augmented bases and pushforwards) only validate their input and
+build the head, and the `make_*` names, `direct_sum` and `pushforward` are the
+classes themselves. A basis tail takes plain indices only: a block-indexed
+vector raises ConfigInvalidError. A materialized head is also kept as a dense
+float64 matrix; the symmetrized basis has an empty head and no matrix. A query
 bounds every head atom's `fsum` score with one matrix-vector product and a
 certified error bound, and scores exactly only the atoms that can reach the
 sup or its witness band; the answer is the one a full scan gives, bit for bit.
@@ -144,6 +149,19 @@ def _best(candidates: list) -> tuple:
 _SCREEN_LIMIT = 2.0 ** 1023
 
 
+def _dense_rows(atoms: Sequence[Atom], columns: Sequence) -> np.ndarray:
+    """The atoms' vectors as the rows of a float64 matrix, one column per
+    coordinate index in columns, which must hold every atom's support."""
+    position = {i: k for k, i in enumerate(columns)}
+    rows = []
+    for a in atoms:
+        row = [0.0] * len(position)
+        for i, x in a.vector._entries.items():
+            row[position[i]] = x
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(len(atoms), len(position))
+
+
 class _DenseHead:
     """A materialized head as a dense float64 matrix, one row per atom in head
     order, over the sorted union of the atoms' supports, with its absolute
@@ -153,14 +171,7 @@ class _DenseHead:
 
     def __init__(self, head: Sequence[Atom]):
         self.columns = sorted({i for a in head for i in a.vector._entries}, key=index_key)
-        position = {i: k for k, i in enumerate(self.columns)}
-        rows = []
-        for a in head:
-            row = [0.0] * len(position)
-            for i, x in a.vector._entries.items():
-                row[position[i]] = x
-            rows.append(row)
-        self.matrix = np.array(rows, dtype=float).reshape(len(head), len(position))
+        self.matrix = _dense_rows(head, self.columns)
         self.magnitudes = np.abs(self.matrix)
         # A row's gemv value and its fsum score differ by at most
         # (gamma_d + 2u) * S + d * 2**-1074, S being the exact sum of |h_i x_i|
@@ -246,18 +257,6 @@ def _unknown(aid, what: str) -> UnknownAtomError:
     return UnknownAtomError(f"{text} is not {what}")
 
 
-def _realize(aid, head_by_id: dict, tail_start: Optional[int], what: str) -> Atom:
-    """Resolve aid against a materialized head plus a basis tail from tail_start."""
-    if _well_formed(aid):
-        atom = head_by_id.get(aid)
-        if atom is not None:
-            return atom
-        if aid[0] == "e" and tail_start is not None and aid[2] >= tail_start:
-            # a well-formed basis id holds a valid index
-            return Atom(aid, SparseVector._trusted({aid[2]: -1.0 if aid[1] else 1.0}))
-    raise _unknown(aid, what)
-
-
 class Dictionary(ABC):
     """Selection oracle over a symmetric set of unit-norm atoms.
 
@@ -280,13 +279,44 @@ class Dictionary(ABC):
         must give equal atoms every time: Scripted keeps the first one."""
 
 
-class SymmetrizedOnb(Dictionary):
-    """The symmetrized canonical orthonormal basis {e_i} ∪ {-e_i}, never materialized."""
+class _Headed(Dictionary):
+    """A materialized head plus, unless tail_start is None, the untouched
+    signed basis on indices >= tail_start: every dictionary but a direct sum.
+    what names the dictionary in an UnknownAtomError."""
+
+    def __init__(self, head: list, tail_start: Optional[int], what: str):
+        self.head, self.tail_start, self._what = head, tail_start, what
+        self._head_by_id = {a.id: a for a in head}
+        self._dense = _DenseHead(head)
+
+    def sup_inner(self, f: SparseVector) -> tuple:
+        return _select(f, self.head, self.tail_start, self._dense)
+
+    def realize(self, aid: AtomId) -> Atom:
+        if _well_formed(aid):
+            atom = self._head_by_id.get(aid)
+            if atom is not None:
+                return atom
+            if aid[0] == "e" and self.tail_start is not None and aid[2] >= self.tail_start:
+                # a well-formed basis id holds a valid index
+                return Atom(aid, SparseVector._trusted({aid[2]: -1.0 if aid[1] else 1.0}))
+        raise _unknown(aid, self._what)
+
+
+# Each subclass binds sup_inner and realize in its own body, the shared
+# functions included: the benchmark's tracer wraps a class's own methods and
+# names their spans by its kind.
+
+
+class SymmetrizedOnb(_Headed):
+    """The symmetrized canonical orthonormal basis {e_i} ∪ {-e_i}, never
+    materialized: an empty head, held by the class, and no dense form."""
 
     kind = "symmetrized_onb"
-    head = ()
-    tail_start = 1
     witness_optional = True
+    head, tail_start, _head_by_id, _what = (), 1, {}, "a signed basis atom"
+    # not _Headed's: there is nothing to build
+    __init__ = object.__init__
 
     def sup_inner(self, f: SparseVector, witness: bool = True) -> tuple:
         if witness:
@@ -296,8 +326,7 @@ class SymmetrizedOnb(Dictionary):
         top = tail_top(f, 1)
         return _best([] if top is None else [(top, None)])
 
-    def realize(self, aid: AtomId) -> Atom:
-        return _realize(aid, {}, 1, "a signed basis atom")
+    realize = _Headed.realize
 
 
 def _unit_sparse(vector: SparseVector, position: str) -> SparseVector:
@@ -323,11 +352,10 @@ def _symmetrize(vectors: Sequence[SparseVector], positions: str) -> list:
     return atoms
 
 
-class FiniteDictionary(Dictionary):
+class FiniteDictionary(_Headed):
     """Finitely many atoms, symmetrized on construction."""
 
     kind = "finite"
-    tail_start = None
 
     def __init__(self, vectors: Sequence[SparseVector]):
         if not vectors:
@@ -336,30 +364,16 @@ class FiniteDictionary(Dictionary):
             for i in vec.support():
                 if not isinstance(i, int):
                     raise ConfigInvalidError("finite dictionary atoms must use plain indices")
-        self.atoms = self.head = _symmetrize(vectors, "atoms")
-        self._atoms_by_id = {a.id: a for a in self.atoms}
-        self._dense = _DenseHead(self.head)
+        super().__init__(_symmetrize(vectors, "atoms"), None, "an atom of this finite dictionary")
+        self.atoms = self.head
 
-    def sup_inner(self, f: SparseVector) -> tuple:
-        return _select(f, self.atoms, None, self._dense)
-
-    def realize(self, aid: AtomId) -> Atom:
-        return _realize(aid, self._atoms_by_id, None, "an atom of this finite dictionary")
+    sup_inner, realize = _Headed.sup_inner, _Headed.realize
 
 
-def make_finite(atoms: Sequence[SparseVector]) -> FiniteDictionary:
-    return FiniteDictionary(atoms)
-
-
-def make_symmetrized_onb() -> SymmetrizedOnb:
-    return SymmetrizedOnb()
-
-
-class AugmentedOnb(Dictionary):
+class AugmentedOnb(_Headed):
     """Symmetrized basis plus finitely many unit atoms supported inside E'."""
 
     kind = "augmented_onb"
-    tail_start = 1
 
     def __init__(self, extra: Sequence[SparseVector], e_prime: Iterable[int]):
         e_prime = frozenset(e_prime)
@@ -369,19 +383,13 @@ class AugmentedOnb(Dictionary):
                 raise SupportOutsideEPrimeError(
                     f"extra[{j}] touches {sorted(outside, key=index_key)} outside E'"
                 )
-        self.extras = self.head = _symmetrize(extra, "extra")
-        self._extras_by_id = {a.id: a for a in self.extras}
-        self._dense = _DenseHead(self.head)
+        super().__init__(_symmetrize(extra, "extra"), 1, "an atom of this augmented basis")
+        self.extras = self.head
 
-    def sup_inner(self, f: SparseVector) -> tuple:
-        return _select(f, self.extras, 1, self._dense)
-
-    def realize(self, aid: AtomId) -> Atom:
-        return _realize(aid, self._extras_by_id, 1, "an atom of this augmented basis")
+    sup_inner, realize = _Headed.sup_inner, _Headed.realize
 
 
-def make_augmented_onb(extra: Sequence[SparseVector], e_prime: Iterable[int]) -> AugmentedOnb:
-    return AugmentedOnb(extra, e_prime)
+make_finite, make_symmetrized_onb, make_augmented_onb = FiniteDictionary, SymmetrizedOnb, AugmentedOnb
 
 
 def _lift(block: int, atom: Atom) -> Atom:
@@ -431,8 +439,7 @@ class DirectSumDictionary(Dictionary):
         raise _unknown(aid, "an atom of this direct sum")
 
 
-def direct_sum(components: Sequence[Dictionary]) -> DirectSumDictionary:
-    return DirectSumDictionary(components)
+direct_sum = DirectSumDictionary
 
 
 def _check_orthogonal(q: np.ndarray):
@@ -443,18 +450,11 @@ def _check_orthogonal(q: np.ndarray):
         raise NotOrthogonalError(f"Q^T Q deviates from identity by {dev:g} > {_ORTHOGONALITY_TOL:g}")
 
 
-def _to_dense(vec: SparseVector, dim: int) -> np.ndarray:
-    out = np.zeros(dim)
-    for i, v in vec.items():
-        out[i - 1] = v
-    return out
-
-
 def _from_dense(arr: np.ndarray) -> SparseVector:
     return SparseVector._trusted({i: v for i, v in enumerate(arr.tolist(), start=1) if v != 0.0})
 
 
-class PushforwardDictionary(Dictionary):
+class PushforwardDictionary(_Headed):
     """Image of a dictionary under an orthogonal map Q on the index range 1..dim.
 
     Any base but a direct sum works, seen as its materialized head plus its
@@ -471,31 +471,23 @@ class PushforwardDictionary(Dictionary):
         if isinstance(base, DirectSumDictionary):
             raise ConfigInvalidError("pushforward cannot take a direct sum as its base")
         dim = matrix.shape[0]
-        head, self.tail_start = list(base.head), base.tail_start
-        if self.tail_start is not None and self.tail_start <= dim:
-            head[:0] = [basis_atom(i, s) for i in range(self.tail_start, dim + 1)
-                        for s in (1.0, -1.0)]
-            self.tail_start = dim + 1
+        head, tail_start = list(base.head), base.tail_start
+        if tail_start is not None and tail_start <= dim:
+            head[:0] = [basis_atom(i, s) for i in range(tail_start, dim + 1) for s in (1.0, -1.0)]
+            tail_start = dim + 1
         for a in head:
             if any(not (isinstance(i, int) and i <= dim) for i in a.vector.support()):
                 raise ConfigInvalidError(
                     f"atom {atom_id_str(a.id)} has support outside the {dim}-dimensional matrix range"
                 )
-        self.head = [
-            Atom(a.id, _from_dense(matrix @ _to_dense(a.vector, dim))) for a in head
-        ]
-        self._head_by_id = {a.id: a for a in self.head}
-        self._dense = _DenseHead(self.head)
+        rows = _dense_rows(head, range(1, dim + 1))
+        super().__init__([Atom(a.id, _from_dense(matrix @ row)) for a, row in zip(head, rows)],
+                         tail_start, "an atom of this pushforward")
 
-    def sup_inner(self, f: SparseVector) -> tuple:
-        return _select(f, self.head, self.tail_start, self._dense)
-
-    def realize(self, aid: AtomId) -> Atom:
-        return _realize(aid, self._head_by_id, self.tail_start, "an atom of this pushforward")
+    sup_inner, realize = _Headed.sup_inner, _Headed.realize
 
 
-def pushforward(base: Dictionary, matrix) -> PushforwardDictionary:
-    return PushforwardDictionary(base, matrix)
+pushforward = PushforwardDictionary
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +559,7 @@ class Scripted:
 
 
 def _finite_atoms(dictionary: Dictionary) -> list:
-    # a direct sum has neither a head nor a tail_start
-    if getattr(dictionary, "tail_start", 1) is not None:
+    if not isinstance(dictionary, _Headed) or dictionary.tail_start is not None:
         raise ConfigInvalidError("operation needs a finite dictionary (or a pushforward of one)")
     return dictionary.head
 
@@ -576,8 +567,7 @@ def _finite_atoms(dictionary: Dictionary) -> list:
 def atom_matrix(dictionary: Dictionary) -> np.ndarray:
     """Materialized atoms as rows of a dense matrix (plain indices only)."""
     atoms = _finite_atoms(dictionary)
-    dim = max(i for a in atoms for i in a.vector.support())
-    return np.vstack([_to_dense(a.vector, dim) for a in atoms])
+    return _dense_rows(atoms, range(1, max(i for a in atoms for i in a.vector._entries) + 1))
 
 
 def spans_ambient(dictionary: Dictionary) -> bool:

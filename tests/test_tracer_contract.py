@@ -78,3 +78,35 @@ def test_tracer_installs_traces_a_run_and_restores():
     assert totals["dictionaries.sup_inner.symmetrized_onb"][0] == 20
     assert tracer.counts["engine.run.steps"] == 20
     assert tracer.counts["core.remainder_support.peak"] == 29
+
+
+@pytest.mark.skipif(not os.path.exists(TRACER_PATH), reason="bench/ is not in this checkout")
+def test_tracer_names_each_kind_whose_methods_are_shared():
+    # the headed kinds bind the same sup_inner and realize functions; the
+    # tracer must still wrap each class alone and name each span by its kind
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    originals = [owner.__dict__[attr] for owner, attr in PATCHED]
+    atoms = [SparseVector({1: 0.6, 2: 0.8}), SparseVector({2: 1.0, 3: 1.0})]
+    dictionary = dictionaries.direct_sum([
+        dictionaries.make_finite(atoms),
+        dictionaries.make_augmented_onb(atoms, [1, 2, 3]),
+        dictionaries.pushforward(dictionaries.make_finite(atoms), [[0.0, 1.0, 0.0],
+                                                                   [0.0, 0.0, 1.0],
+                                                                   [1.0, 0.0, 0.0]]),
+        dictionaries.make_symmetrized_onb(),
+    ])
+    target = SparseVector({(l, i): 1.0 / (l + i) for l in range(1, 5) for i in range(1, 6)})
+    tracer = tracing.Tracer()
+    tracer.install(greedyexp)
+    try:
+        engine.run(target, dictionary, sequences.Harmonic(), sequences.ConstantWeakening(1.0),
+                   max_steps=12)
+    finally:
+        tracer.restore()
+    assert [owner.__dict__[attr] for owner, attr in PATCHED] == originals
+    totals = tracer.totals()
+    spans = {name for name in totals if name.startswith("dictionaries.sup_inner.")}
+    assert spans == {f"dictionaries.sup_inner.{kind}" for kind in tracing.DICTIONARY_KINDS}
+    assert all(totals[name][0] > 0 for name in spans)
