@@ -123,10 +123,6 @@ def run_experiment(config_path: str) -> int:
     return 2 if trace.status.kind == "aborted" else 0
 
 
-def cmd_run(args) -> int:
-    return run_experiment(args.config)
-
-
 def cmd_counterexample(args) -> int:
     cfg = counterexample.default_config(args.t, args.groups, args.k)
     plan = counterexample.build_plan(cfg)
@@ -220,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one experiment from a JSON config")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=lambda args: run_experiment(args.config))
 
     p = sub.add_parser("counterexample", help="build and run the t<1 divergence schedule")
     p.add_argument("--t", type=float, required=True)

@@ -18,13 +18,17 @@ The result also inherits two caches from v and updates them on a's
 coordinates only:
 
 - the exact sum of the squares fl(x*x), an int in units of 2**-1074. Every
-  finite square is such a multiple, and int / int rounds correctly, just as
-  ``math.fsum`` does, so ``norm()`` is bit-identical to the fsum of the
-  squares. A step of one coordinate, as every basis step is, converts its new
-  and old square to ints. A longer step takes the exact sum of all its
-  new*new and -(old*old) terms in ``fsum`` passes: each pass adds the
-  correctly rounded rest and appends its negation, until the rest is exactly
-  0.0. A non-finite square drops the cache and norm() falls back to fsum;
+  finite square is such a multiple. ``norm()`` of a cached sum takes one
+  exact route at every magnitude, the square root of the sum over 2**1074:
+  int / int rounds correctly and raises OverflowError exactly when the
+  correctly rounded ``math.fsum`` of the same squares does, so ``norm()`` is
+  bit-identical to that fsum. A step of one coordinate, as every basis step
+  is, converts its new and old square to ints. A longer step takes the exact
+  sum of all its new*new and -(old*old) terms in ``fsum`` passes: each pass
+  adds the correctly rounded rest and appends its negation, until the rest is
+  exactly 0.0. A non-finite square drops the cache. Without a cached sum (a
+  vector no step has made, or one with a non-finite square) ``norm()`` takes
+  the fsum of the squares;
 - a lazy max-heap of (-|x|, i) over the indices from some start on, from which
   ``tail_top`` reads the largest magnitude and ``tail_peak`` also the entries
   near it. Nodes whose entry has changed stay in the heap until they surface.
@@ -62,9 +66,6 @@ Index = Union[int, Tuple[int, int]]
 
 # the square sum is kept in units of the smallest subnormal, 2**-1074
 _UNIT = 1 << 1074
-# below 2**1023 the square sum cannot overflow a float; above it, norm() leaves
-# the rounding and any OverflowError to fsum
-_SQUARE_SUM_LIMIT = 1 << (1074 + 1023)
 
 
 def validate_index(index: Index) -> Index:
@@ -137,7 +138,7 @@ class SparseVector:
 
     def norm(self) -> float:
         total = self._square_sum
-        if total is not None and total < _SQUARE_SUM_LIMIT:
+        if total is not None:
             return math.sqrt(total / _UNIT)
         return math.sqrt(math.fsum(v * v for v in self._entries.values()))
 
@@ -151,9 +152,8 @@ class SparseVector:
         pairs = sorted(self._entries.items(), key=lambda kv: index_key(kv[0]))
         return [[list(i) if isinstance(i, tuple) else i, v] for i, v in pairs]
 
-    @classmethod
-    def from_json(cls, data: list) -> "SparseVector":
-        return cls.from_pairs((i, v) for i, v in data)
+    # a JSON pair list is a list of (index, value) pairs
+    from_json = from_pairs
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseVector):
@@ -378,8 +378,9 @@ def subtract_scaled(v: SparseVector, c: float, a: SparseVector) -> SparseVector:
 
 def _step(v: SparseVector, c: float, pairs, total) -> SparseVector:
     """v - c*a over a's (index, value) pairs, with v's square sum total (None
-    to keep none). The result takes over v's entry dict and magnitude heap;
-    v becomes a _Handed vector that records the old values."""
+    to keep none). The result takes over v's entry dict and magnitude heap,
+    which it drops if a has a (block, inner) index; v becomes a _Handed vector
+    that records the old values."""
     entries = v._entries
     size = len(entries)
     heap = v._heap
@@ -397,8 +398,13 @@ def _step(v: SparseVector, c: float, pairs, total) -> SparseVector:
             entries.pop(i, None)
         else:
             entries[i] = new
-            if heap is not None and (start == 1 or i >= start):
-                heapq.heappush(nodes, (-abs(new), i) if new == new else _NAN_NODE)
+            if heap is not None:
+                if isinstance(i, tuple):
+                    # a basis tail takes plain indices: the next tail query
+                    # rebuilds the heap and refuses this entry
+                    heap = None
+                elif start == 1 or i >= start:
+                    heapq.heappush(nodes, (-abs(new), i) if new == new else _NAN_NODE)
         if terms is not None:
             terms += new * new, -(old * old)
     if total is not None and undo:

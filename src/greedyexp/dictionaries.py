@@ -335,9 +335,8 @@ def _unit_sparse(vector: SparseVector, position: str) -> SparseVector:
         raise ConfigInvalidError(f"{position}: atom norm {n} is not finite")
     if n < _ATOM_NORM_FLOOR:
         raise ZeroAtomError(f"{position}: atom norm {n:g} is below {_ATOM_NORM_FLOOR:g}")
-    if n == 1.0:
-        return vector
-    # an entry that underflows to 0.0 is dropped
+    # the dictionary's own copy, even at norm 1; an entry that underflows to
+    # 0.0 is dropped
     return SparseVector._trusted({i: y for i, v in vector._entries.items() if (y := v / n) != 0.0})
 
 
@@ -418,7 +417,8 @@ class DirectSumDictionary(Dictionary):
         """Each nonzero block's lifted (value, atom), in block order, then _best.
         A block's answer is memoized beside its restriction, keyed by this
         dictionary; a step shares the restrictions it leaves untouched, so
-        only the block it touched is selected in again."""
+        only the block it touched is selected in again. A nonzero vector with
+        no coordinates in blocks 1..n raises ConfigInvalidError."""
         parts = block_parts(f)
         candidates = []
         for l, comp in enumerate(self.components, start=1):
@@ -431,6 +431,9 @@ class DirectSumDictionary(Dictionary):
                 value, atom = comp.sup_inner(fl)
                 best = memo[self] = (value, _lift(l, atom))
             candidates.append(best)
+        if not candidates and parts:
+            raise ConfigInvalidError(
+                f"the vector has no coordinates in this direct sum's blocks 1..{len(self.components)}")
         return _best(candidates)
 
     def realize(self, aid: AtomId) -> Atom:
@@ -443,8 +446,8 @@ direct_sum = DirectSumDictionary
 
 
 def _check_orthogonal(q: np.ndarray):
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise NotOrthogonalError(f"matrix must be square, got shape {q.shape}")
+    if q.ndim != 2 or q.shape[0] != q.shape[1] or not q.size:
+        raise NotOrthogonalError(f"matrix must be square and nonempty, got shape {q.shape}")
     dev = float(np.max(np.abs(q.T @ q - np.eye(q.shape[0]))))
     if not dev <= _ORTHOGONALITY_TOL:
         raise NotOrthogonalError(f"Q^T Q deviates from identity by {dev:g} > {_ORTHOGONALITY_TOL:g}")

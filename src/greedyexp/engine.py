@@ -55,18 +55,6 @@ class Status:
     step: Optional[int] = None
     reason: Optional[str] = None
 
-    @classmethod
-    def stopped(cls, step: int) -> "Status":
-        return cls("stopped", step=step)
-
-    @classmethod
-    def exhausted(cls, steps: int, reason: Optional[str] = None) -> "Status":
-        return cls("exhausted", step=steps, reason=reason)
-
-    @classmethod
-    def aborted(cls, step: int, reason: str) -> "Status":
-        return cls("aborted", step=step, reason=reason)
-
     def to_json_obj(self) -> dict:
         return asdict(self)
 
@@ -116,7 +104,7 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
     trace = Trace(initial_norm=initial_norm, max_steps=max_steps)
     for m in range(1, max_steps + 1):
         if remainder.is_zero():
-            trace.status = Status.stopped(m)
+            trace.status = Status("stopped", m)
             return trace
         try:
             c = coefficients.eval(m)
@@ -127,7 +115,7 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
                 sup, witness = dictionary.sup_inner(remainder)
             atom = policy.choose(m, dictionary, remainder, t, sup, witness)
         except (IndexPastEndError, NoAdmissibleAtomError, UnknownAtomError) as exc:
-            trace.status = Status.aborted(m, f"{type(exc).__name__}: {exc}")
+            trace.status = Status("aborted", m, f"{type(exc).__name__}: {exc}")
             return trace
         ip = inner(remainder, atom.vector)
         remainder = subtract_scaled(remainder, c, atom.vector)
@@ -136,14 +124,14 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
         except OverflowError:
             residual = math.inf
         if not residual < math.inf:
-            trace.status = Status.aborted(m, f"residual norm {residual} is not finite")
+            trace.status = Status("aborted", m, f"residual norm {residual} is not finite")
             return trace
         block = atom.id[1] if atom.id[0] == "b" else None
         trace.steps.append(StepRecord(m, atom, c, t, ip, sup, residual, block))
         if stop_below is not None and residual < stop_below:
-            trace.status = Status.exhausted(m, reason="early_exit_threshold")
+            trace.status = Status("exhausted", m, "early_exit_threshold")
             return trace
-    trace.status = Status.exhausted(max_steps)
+    trace.status = Status("exhausted", max_steps)
     return trace
 
 

@@ -65,20 +65,31 @@ class Power(CoefficientSequence):
         return self.scale * n ** (-self.alpha)
 
 
-class Explicit(CoefficientSequence):
+class _Listed:
+    """A sequence given by its list of values, term n at values[n - 1]. A
+    subclass sets its range rule _admits and the message of a value outside
+    it, and binds eval in its own body: the benchmark's tracer wraps each
+    class's own eval."""
+
     def __init__(self, values: Sequence[float]):
         self.values = [float(v) for v in values]
-        if not all(0.0 < v < math.inf for v in self.values):
-            raise ConfigInvalidError("explicit coefficients must all be positive and finite")
-
-    def __len__(self):
-        return len(self.values)
+        if not all(map(self._admits, self.values)):
+            raise ConfigInvalidError(self._out_of_range)
 
     def eval(self, n: int) -> float:
         _check_step(n)
         if n > len(self.values):
             raise IndexPastEndError(f"explicit sequence has {len(self.values)} terms, asked for term {n}")
         return self.values[n - 1]
+
+
+class Explicit(_Listed, CoefficientSequence):
+    _admits = staticmethod(lambda v: 0.0 < v < math.inf)
+    _out_of_range = "explicit coefficients must all be positive and finite"
+    eval = _Listed.eval
+
+    def __len__(self):
+        return len(self.values)
 
 
 class WeakeningSequence(ABC):
@@ -101,17 +112,10 @@ class ConstantWeakening(WeakeningSequence):
         return self.t
 
 
-class ExplicitWeakening(WeakeningSequence):
-    def __init__(self, values: Sequence[float]):
-        self.values = [float(v) for v in values]
-        if any(not 0.0 < v <= 1.0 for v in self.values):
-            raise ConfigInvalidError("weakening factors must lie in (0, 1]")
-
-    def eval(self, n: int) -> float:
-        _check_step(n)
-        if n > len(self.values):
-            raise IndexPastEndError(f"explicit sequence has {len(self.values)} terms, asked for term {n}")
-        return self.values[n - 1]
+class ExplicitWeakening(_Listed, WeakeningSequence):
+    _admits = staticmethod(lambda v: 0.0 < v <= 1.0)
+    _out_of_range = "weakening factors must lie in (0, 1]"
+    eval = _Listed.eval
 
 
 @dataclass(frozen=True)
