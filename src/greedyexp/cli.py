@@ -200,7 +200,10 @@ def cmd_sweep(args) -> int:
         return _fail("sweep configs must be distinct")
     if args.jobs is not None and args.jobs < 1:
         return _fail(f"--jobs must be >= 1, got {args.jobs}")
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork pool starts all its workers at the first submit: start no more
+    # than there are configs
+    jobs = min(args.jobs or os.cpu_count() or 1, len(paths))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         codes = list(pool.map(run_experiment, paths))
     for path, code in zip(paths, codes):
         print(f"{'ok  ' if code == 0 else 'FAIL'} {path} (exit {code})")

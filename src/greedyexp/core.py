@@ -49,9 +49,11 @@ restrictions alone. Its square sum is the sum of theirs, and ``inner`` with an
 atom lifted into a direct sum, which is held the same way, is the component
 ``inner`` on one restriction. Its flat dict is built only when it is read.
 
-These caches and the handover are invisible: vectors stay immutable and compare
-by entries only. They are not thread-safe: reading a kept vector in one thread
-while another steps its successor is a data race.
+These caches and the handover are invisible: vectors compare by entries only,
+no public name of a vector is settable (every one is a method, and __slots__
+refuses new attributes), and ``copy``, ``deepcopy`` and ``pickle`` give plain
+vectors of the same entries without caches. They are not thread-safe: reading
+a kept vector in one thread while another steps its successor is a data race.
 """
 
 from __future__ import annotations
@@ -69,16 +71,14 @@ _UNIT = 1 << 1074
 
 
 def validate_index(index: Index) -> Index:
-    if isinstance(index, bool):
-        raise TypeError(f"coordinate index must be an int or (block, inner) pair, got {index!r}")
-    if isinstance(index, int):
+    # a bool is an int, but no coordinate index, alone or in a pair
+    if isinstance(index, int) and not isinstance(index, bool):
         if index < 1:
             raise ValueError(f"coordinate index must be >= 1, got {index}")
         return index
-    if isinstance(index, tuple) and len(index) == 2:
-        block, inner = index
-        if isinstance(block, int) and isinstance(inner, int) and block >= 1 and inner >= 1:
-            return index
+    if isinstance(index, tuple) and len(index) == 2 and all(
+            isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in index):
+        return index
     raise TypeError(f"coordinate index must be an int or (block, inner) pair, got {index!r}")
 
 
@@ -96,10 +96,8 @@ class SparseVector:
     __slots__ = ("_entries", "_square_sum", "_heap", "_blocks", "_undo")
 
     def __init__(self, entries: dict | None = None):
-        _set_entries(self, _clean(entries.items()) if entries else {})
-        _set_square_sum(self, None)
-        _set_heap(self, None)
-        _set_blocks(self, None)
+        self._entries = _clean(entries.items()) if entries else {}
+        self._square_sum = self._heap = self._blocks = None
 
     @classmethod
     def _trusted(cls, entries: dict, square_sum=None, heap=None) -> "SparseVector":
@@ -107,14 +105,11 @@ class SparseVector:
         invariant: validated indices and nonzero float values. The dict is
         adopted, not copied."""
         v = object.__new__(cls)
-        _set_entries(v, entries)
-        _set_square_sum(v, square_sum)
-        _set_heap(v, heap)
-        _set_blocks(v, None)
+        v._entries = entries
+        v._square_sum = square_sum
+        v._heap = heap
+        v._blocks = None
         return v
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparseVector is immutable")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[Index, float]]) -> "SparseVector":
@@ -163,6 +158,10 @@ class SparseVector:
     def __hash__(self):
         return hash(frozenset(self._entries.items()))
 
+    def __reduce__(self):
+        # a plain vector of the entries alone: no cache, successor chain or memo
+        return SparseVector, (self._entries.copy(),)
+
     def __repr__(self) -> str:
         inside = ", ".join(f"{i}: {v!r}" for i, v in sorted(
             self._entries.items(), key=lambda kv: index_key(kv[0])))
@@ -182,18 +181,6 @@ def _clean(pairs) -> dict:
             raise ValueError(f"duplicate coordinate index {index!r}")
         entries[index] = float(value)
     return {i: x for i, x in entries.items() if x != 0.0}
-
-
-# slot and class setters (and slot deleters), which bypass the immutability
-# guard in __setattr__
-_set_entries = SparseVector.__dict__["_entries"].__set__
-_set_square_sum = SparseVector.__dict__["_square_sum"].__set__
-_set_heap = SparseVector.__dict__["_heap"].__set__
-_set_blocks = SparseVector.__dict__["_blocks"].__set__
-_set_undo = SparseVector.__dict__["_undo"].__set__
-_del_entries = SparseVector.__dict__["_entries"].__delete__
-_del_undo = SparseVector.__dict__["_undo"].__delete__
-_set_class = object.__dict__["__class__"].__set__
 
 
 class _Handed(SparseVector):
@@ -223,9 +210,9 @@ class _Handed(SparseVector):
                     entries.pop(i, None)
                 else:
                     entries[i] = old
-        _set_entries(self, entries)
-        _del_undo(self)
-        _set_class(self, SparseVector)
+        self._entries = entries
+        del self._undo
+        self.__class__ = SparseVector
         return entries
 
     def support_size(self) -> int:
@@ -252,8 +239,8 @@ class _Blocked(SparseVector):
                 entries.update(x._entries)
             else:
                 entries.update({(l, i): y for i, y in x._entries.items()})
-        _set_entries(self, entries)
-        _set_class(self, SparseVector)
+        self._entries = entries
+        self.__class__ = SparseVector
         return entries
 
     def support_size(self) -> int:
@@ -266,9 +253,9 @@ class _Blocked(SparseVector):
 def _held(parts: dict, square_sum=None) -> SparseVector:
     """A _Blocked vector on parts, a dict as block_parts gives it."""
     v = object.__new__(_Blocked)
-    _set_blocks(v, parts)
-    _set_square_sum(v, square_sum)
-    _set_heap(v, None)
+    v._blocks = parts
+    v._square_sum = square_sum
+    v._heap = None
     return v
 
 
@@ -293,7 +280,7 @@ def block_parts(v: SparseVector) -> dict:
             else:
                 split.setdefault(None, {})[i] = x
         parts = {l: (SparseVector._trusted(e), {}) for l, e in split.items()}
-        _set_blocks(v, parts)
+        v._blocks = parts
     return parts
 
 
@@ -342,7 +329,7 @@ def _exact_square_sum(v: SparseVector):
             total = _exact_sum([x * x for x in v._entries.values()])
         except (OverflowError, ValueError):
             return None
-        _set_square_sum(v, total)
+        v._square_sum = total
     return total
 
 
@@ -385,7 +372,7 @@ def _step(v: SparseVector, c: float, pairs, total) -> SparseVector:
     size = len(entries)
     heap = v._heap
     if heap is not None:
-        _set_heap(v, None)
+        v._heap = None
         start, nodes = heap
     undo = []
     # the square terms of a step over more than one coordinate
@@ -419,9 +406,9 @@ def _step(v: SparseVector, c: float, pairs, total) -> SparseVector:
         except (OverflowError, ValueError):
             total = None
     w = SparseVector._trusted(entries, total, heap)
-    _del_entries(v)
-    _set_undo(v, (w, undo, size))
-    _set_class(v, _Handed)
+    del v._entries
+    v._undo = (w, undo, size)
+    v.__class__ = _Handed
     return w
 
 
@@ -466,7 +453,7 @@ def _magnitude_heap(v: SparseVector, start: int) -> list:
             items = ((i, x) for i, x in items if i >= start)
         heap = (start, [(-abs(x), i) if x == x else _NAN_NODE for i, x in items])
         heapq.heapify(heap[1])
-        _set_heap(v, heap)
+        v._heap = heap
     return heap[1]
 
 

@@ -330,7 +330,10 @@ class SymmetrizedOnb(_Headed):
 
 
 def _unit_sparse(vector: SparseVector, position: str) -> SparseVector:
-    n = vector.norm()
+    try:
+        n = vector.norm()
+    except OverflowError:
+        n = math.inf
     if not math.isfinite(n):
         raise ConfigInvalidError(f"{position}: atom norm {n} is not finite")
     if n < _ATOM_NORM_FLOOR:
@@ -460,19 +463,24 @@ def _from_dense(arr: np.ndarray) -> SparseVector:
 class PushforwardDictionary(_Headed):
     """Image of a dictionary under an orthogonal map Q on the index range 1..dim.
 
-    Any base but a direct sum works, seen as its materialized head plus its
-    untouched signed basis from tail_start on. Basis atoms of that tail inside
-    the range join the head in front of it, and the whole head is mapped by Q
-    with its ids kept. The basis tail beyond the range passes through untouched.
+    The base is a _Headed dictionary (not a direct sum or a user subclass of
+    Dictionary), seen as its materialized head plus its untouched signed basis
+    from tail_start on. Basis atoms of that tail inside the range join the head
+    in front of it, and the whole head is mapped by Q with its ids kept. The
+    basis tail beyond the range passes through untouched.
     """
 
     kind = "pushforward"
 
     def __init__(self, base: Dictionary, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=float)
+        try:
+            matrix = np.asarray(matrix, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise NotOrthogonalError(f"matrix must be a square array of reals: {exc}") from exc
         _check_orthogonal(matrix)
-        if isinstance(base, DirectSumDictionary):
-            raise ConfigInvalidError("pushforward cannot take a direct sum as its base")
+        if not isinstance(base, _Headed):
+            raise ConfigInvalidError("pushforward takes a head-plus-tail dictionary as its base, "
+                                     "not a direct sum or a user dictionary")
         dim = matrix.shape[0]
         head, tail_start = list(base.head), base.tail_start
         if tail_start is not None and tail_start <= dim:
@@ -615,7 +623,10 @@ _DICTIONARY_BUILDERS = {
     "augmented_onb": lambda spec: make_augmented_onb(
         [SparseVector.from_json(a) for a in spec.get("extra", [])], spec.get("e_prime", [])),
     "direct_sum": lambda spec: direct_sum([dictionary_from_config(c) for c in spec["components"]]),
-    "pushforward": lambda spec: pushforward(dictionary_from_config(spec["base"]), spec["matrix"]),
+    # a matrix that is no real array is a bad spec here, before pushforward
+    # would call it not orthogonal
+    "pushforward": lambda spec: pushforward(dictionary_from_config(spec["base"]),
+                                            np.asarray(spec["matrix"], dtype=float)),
 }
 
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from greedyexp import cli
 from greedyexp.cli import main
 
 MINIMAL = {
@@ -330,6 +331,39 @@ def test_sweep_propagates_failure(tmp_path):
     good, _ = write_config(tmp_path, name="good.json")
     bad, _ = write_config(tmp_path, name="bad.json", dictionary={"kind": "nope"})
     assert main(["sweep", "--config", str(good), "--config", str(bad)]) == 1
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus,jobs,expected", [
+    (64, None, 2), (None, None, 1), (64, "64", 2),
+])
+def test_sweep_starts_no_more_workers_than_configs(tmp_path, capsys, monkeypatch,
+                                                    cpus, jobs, expected):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(InProcessPool, "sizes", [])
+    p1, _ = write_config(tmp_path, name="s1.json")
+    p2, _ = write_config(tmp_path, name="s2.json")
+    argv = ["sweep", "--config", str(p1), "--config", str(p2)]
+    assert main(argv + ([] if jobs is None else ["--jobs", jobs])) == 0
+    assert InProcessPool.sizes == [expected]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -154,9 +154,20 @@ def test_json_round_trip_with_blocks():
 
 
 def test_immutability():
+    # __slots__ refuses a new attribute, and every public name is a method
     v = e(1)
-    with pytest.raises(AttributeError):
-        v._entries = {}
+    for name in ("foo", "norm", "items"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, 1)
+    assert v == e(1)
+
+
+@pytest.mark.parametrize("index", [(True, 1), (1, True)])
+def test_bool_in_a_block_index_pair_rejected(index):
+    with pytest.raises(TypeError):
+        SparseVector({index: 1.0})
+    with pytest.raises(TypeError):
+        SparseVector.from_pairs([([*index], 1.0)])
 
 
 def test_norm_squared_is_parseval_sum():

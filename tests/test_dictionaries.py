@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from greedyexp.core import SparseVector, inner, norm
 from greedyexp.dictionaries import (
+    Dictionary,
     MaxGreedy,
     Scripted,
     atom_id_str,
@@ -433,6 +434,25 @@ def test_pushforward_rejects_direct_sum_base():
         dictionary_from_config({"kind": "pushforward", "matrix": [[1.0]],
                                 "base": {"kind": "direct_sum",
                                          "components": [{"kind": "symmetrized_onb"}]}})
+
+
+@pytest.mark.parametrize("matrix", [[[1.0], [1.0, 2.0]], [["a"]], "ab", [[1j]]],
+                         ids=["ragged", "string_entry", "string", "complex"])
+def test_pushforward_rejects_a_matrix_that_is_no_real_array(matrix):
+    with pytest.raises(NotOrthogonalError, match="matrix must be a square array of reals"):
+        pushforward(make_symmetrized_onb(), matrix)
+
+
+def test_pushforward_rejects_a_user_dictionary_base():
+    class Basis(Dictionary):
+        def sup_inner(self, f):
+            return make_symmetrized_onb().sup_inner(f)
+
+        def realize(self, aid):
+            return make_symmetrized_onb().realize(aid)
+
+    with pytest.raises(ConfigInvalidError, match="head-plus-tail dictionary"):
+        pushforward(Basis(), np.eye(2))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from greedyexp.dictionaries import (
     CoherenceEstimate,
     Scripted,
     direct_sum,
+    make_augmented_onb,
+    make_finite,
     make_symmetrized_onb,
 )
 from greedyexp.engine import (
@@ -353,3 +355,60 @@ def test_sweep_deeply_nested_config_exits_1(tmp_path, capsys):
     assert main(["sweep", "--config", good, "--config", deep, "--jobs", "1"]) == 1
     out = capsys.readouterr().out
     assert f"ok   {good} (exit 0)" in out and f"FAIL {deep} (exit 1)" in out
+
+
+# ---------------------------------------------------------------------------
+# atoms and coordinate indices outside the accepted range
+# ---------------------------------------------------------------------------
+
+
+OVERFLOWING_ATOM = [[1, 1e154], [2, 1e154]]
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: make_finite([v]),
+    lambda v: make_augmented_onb([v], [1, 2]),
+], ids=["finite", "augmented"])
+def test_an_atom_whose_norm_overflows_is_rejected(build):
+    with pytest.raises(ConfigInvalidError, match=r"\[0\]: atom norm inf is not finite"):
+        build(SparseVector.from_json(OVERFLOWING_ATOM))
+
+
+def config_file(tmp_path, target, dictionary):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "target": {"inline": target},
+        "dictionary": dictionary,
+        "coefficients": {"kind": "harmonic"},
+        "weakening": {"kind": "constant_t", "t": 1.0},
+        "max_steps": 3,
+        "outputs": {"trace": str(tmp_path / "trace.csv"),
+                    "metadata": str(tmp_path / "meta.json")},
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("dictionary", [
+    {"kind": "finite", "atoms": [OVERFLOWING_ATOM]},
+    {"kind": "augmented_onb", "extra": [OVERFLOWING_ATOM], "e_prime": [1, 2]},
+], ids=["finite", "augmented"])
+def test_cli_run_overflowing_atom_exits_1(tmp_path, capsys, dictionary):
+    path = config_file(tmp_path, [[1, 0.5]], dictionary)
+    code = main(["run", "--config", path])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert one_error_line(err, f"error: {path}: ")
+    assert "atom norm inf is not finite" in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("index", [[True, 1], [1, True]])
+def test_cli_run_bool_in_a_block_index_exits_1(tmp_path, capsys, index):
+    dictionary = {"kind": "direct_sum", "components": [{"kind": "symmetrized_onb"}]}
+    path = config_file(tmp_path, [[index, 0.5]], dictionary)
+    code = main(["run", "--config", path])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert one_error_line(err, f"error: {path}: ")
+    assert "coordinate index must be an int or (block, inner) pair" in err
+    assert not (tmp_path / "trace.csv").exists()
