@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import analysis, counterexample, engine, sequences
 from .core import SparseVector
@@ -195,6 +194,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # imported here: no other command pays for the multiprocessing modules
+    from concurrent.futures import ProcessPoolExecutor
+
     paths = args.configs
     if len(set(paths)) != len(paths):
         return _fail("sweep configs must be distinct")

@@ -18,6 +18,9 @@ float64 matrix; the symmetrized basis has an empty head and no matrix. A query
 bounds every head atom's `fsum` score with one matrix-vector product and a
 certified error bound, and scores exactly only the atoms that can reach the
 sup or its witness band; the answer is the one a full scan gives, bit for bit.
+numpy is imported only where a dense array is built or read: materialized
+heads (finite, augmented, pushforward, and direct sums holding one), the
+pushforward matrix and the coherence tools.
 
 Atom ids are plain tuples whose natural tuple order is the canonical order:
 
@@ -35,11 +38,9 @@ import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-import numpy as np
-
-from .core import SparseVector, block_parts, index_key, inner, lifted, tail_peak, tail_top
+from .core import SparseVector, block_parts, index_key, inner, lifted, tail_peak, tail_top, validate_index
 from .errors import (
     ConfigInvalidError,
     EmptyVectorError,
@@ -52,6 +53,9 @@ from .errors import (
     ZeroAtomError,
     parse_tagged,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: slack for the weak selection inequality; the adversarial construction hits
 #: the t*sup boundary exactly, so float equality must not spuriously fail.
@@ -148,10 +152,25 @@ def _best(candidates: list) -> tuple:
 # below 2**1023 no partial sum of a head row's score overflows
 _SCREEN_LIMIT = 2.0 ** 1023
 
+_np = None
+
+
+def _numpy():
+    """The numpy module, imported at its first call: the symmetrized basis,
+    the engine, the counterexample and the checks run without it. After that
+    a call is a global read, not an import statement, so the per-step head
+    query pays next to nothing for it."""
+    global _np
+    if _np is None:
+        import numpy
+        _np = numpy
+    return _np
+
 
 def _dense_rows(atoms: Sequence[Atom], columns: Sequence) -> np.ndarray:
     """The atoms' vectors as the rows of a float64 matrix, one column per
     coordinate index in columns, which must hold every atom's support."""
+    np = _numpy()
     position = {i: k for k, i in enumerate(columns)}
     rows = []
     for a in atoms:
@@ -170,6 +189,7 @@ class _DenseHead:
     __slots__ = ("columns", "matrix", "magnitudes", "factor", "floor")
 
     def __init__(self, head: Sequence[Atom]):
+        np = _numpy()
         self.columns = sorted({i for a in head for i in a.vector._entries}, key=index_key)
         self.matrix = _dense_rows(head, self.columns)
         self.magnitudes = np.abs(self.matrix)
@@ -191,6 +211,7 @@ class _DenseHead:
         best certified lower end, or tail_top, minus WITNESS_BAND: the top row
         and every row within the band of the sup. Every row when a bound is
         not finite or a score could overflow."""
+        np = _numpy()
         n = len(self.columns)
         x = np.fromiter(map(f._entries.get, self.columns, repeat(0.0, n)), float, n)
         # a non-finite remainder is scored like any other, without a warning
@@ -378,6 +399,14 @@ class AugmentedOnb(_Headed):
     kind = "augmented_onb"
 
     def __init__(self, extra: Sequence[SparseVector], e_prime: Iterable[int]):
+        # each index checked before the set is formed: 1 in {True} and 1 in
+        # {1.0} both hold
+        e_prime = list(e_prime)
+        for j, i in enumerate(e_prime):
+            try:
+                validate_index(i)
+            except (TypeError, ValueError) as exc:
+                raise ConfigInvalidError(f"e_prime[{j}]: {exc}") from exc
         e_prime = frozenset(e_prime)
         for j, vec in enumerate(extra):
             outside = [i for i in vec.support() if i not in e_prime]
@@ -449,6 +478,7 @@ direct_sum = DirectSumDictionary
 
 
 def _check_orthogonal(q: np.ndarray):
+    np = _numpy()
     if q.ndim != 2 or q.shape[0] != q.shape[1] or not q.size:
         raise NotOrthogonalError(f"matrix must be square and nonempty, got shape {q.shape}")
     dev = float(np.max(np.abs(q.T @ q - np.eye(q.shape[0]))))
@@ -474,7 +504,7 @@ class PushforwardDictionary(_Headed):
 
     def __init__(self, base: Dictionary, matrix: np.ndarray):
         try:
-            matrix = np.asarray(matrix, dtype=float)
+            matrix = _numpy().asarray(matrix, dtype=float)
         except (TypeError, ValueError) as exc:
             raise NotOrthogonalError(f"matrix must be a square array of reals: {exc}") from exc
         _check_orthogonal(matrix)
@@ -584,7 +614,7 @@ def atom_matrix(dictionary: Dictionary) -> np.ndarray:
 def spans_ambient(dictionary: Dictionary) -> bool:
     """Rank check: do the atoms span the ambient coordinate range? Not enforced anywhere."""
     mat = atom_matrix(dictionary)
-    return int(np.linalg.matrix_rank(mat)) == mat.shape[1]
+    return int(_numpy().linalg.matrix_rank(mat)) == mat.shape[1]
 
 
 def estimate_coherence(dictionary: Dictionary, samples: int, seed: int) -> CoherenceEstimate:
@@ -596,6 +626,7 @@ def estimate_coherence(dictionary: Dictionary, samples: int, seed: int) -> Coher
     """
     if samples < 1:
         raise ConfigInvalidError("estimate_coherence needs samples >= 1")
+    np = _numpy()
     mat = atom_matrix(dictionary)
     rng = np.random.default_rng(seed)
     best = math.inf
@@ -626,7 +657,7 @@ _DICTIONARY_BUILDERS = {
     # a matrix that is no real array is a bad spec here, before pushforward
     # would call it not orthogonal
     "pushforward": lambda spec: pushforward(dictionary_from_config(spec["base"]),
-                                            np.asarray(spec["matrix"], dtype=float)),
+                                            _numpy().asarray(spec["matrix"], dtype=float)),
 }
 
 

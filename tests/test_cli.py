@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -356,7 +357,8 @@ class InProcessPool:
 ])
 def test_sweep_starts_no_more_workers_than_configs(tmp_path, capsys, monkeypatch,
                                                     cpus, jobs, expected):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    # cmd_sweep imports the executor when it runs, so it finds the stand-in
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(InProcessPool, "sizes", [])
     p1, _ = write_config(tmp_path, name="s1.json")
@@ -474,4 +476,15 @@ def test_run_malformed_atom_list_exits_1(tmp_path, capsys, dictionary):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {path}: bad dictionary spec: ") and err.count("\n") == 1
+    assert not (tmp_path / "config.json.trace.csv").exists()
+
+
+@pytest.mark.parametrize("e_prime", [[True], [1.5, 1.0], [0]])
+def test_run_e_prime_entry_that_is_no_index_exits_1(tmp_path, capsys, e_prime):
+    path, _ = write_config(tmp_path, dictionary={"kind": "augmented_onb", "extra": [[[1, 1.0]]],
+                                                 "e_prime": e_prime})
+    assert main(["run", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: e_prime[") and err.count("\n") == 1
     assert not (tmp_path / "config.json.trace.csv").exists()

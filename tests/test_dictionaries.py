@@ -244,6 +244,14 @@ def test_augmented_rejects_support_outside_eprime():
         make_augmented_onb([SparseVector({3: 1.0})], e_prime={1, 2})
 
 
+# a bool, a float or an index below 1 is no coordinate index, though 1 in
+# {True} and 1 in {1.0} both hold
+@pytest.mark.parametrize("e_prime", [[True], [1.5, 1.0], [1.0], [0], [2, -1], [[1, 1]]])
+def test_augmented_rejects_an_e_prime_entry_that_is_no_index(e_prime):
+    with pytest.raises(ConfigInvalidError, match=r"e_prime\["):
+        make_augmented_onb([SparseVector({1: 1.0})], e_prime=e_prime)
+
+
 def test_augmented_empty_extras_is_plain_onb():
     d = make_augmented_onb([], e_prime=set())
     value, atom = d.sup_inner(sv((4, -0.7)))
