@@ -55,7 +55,12 @@ def _worst_step(name: str, trace: Trace, steps: list, violations: list,
                 tol: float) -> VerificationReport:
     """The one-check report of violations[i], observed at step steps[i]: the
     first largest violation is the worst, a NaN is worse than any number, and
-    the check passes when the worst is at most tol. An empty trace raises."""
+    the check passes when the worst is at most tol. A tol that is not finite
+    and >= 0 raises ConfigInvalidError; an empty trace raises
+    PreconditionUnmetError."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigInvalidError(
+            f"{name.replace('_', ' ')} tolerance must be finite and >= 0, got {tol}")
     if not trace.steps:
         raise PreconditionUnmetError(f"{name.replace('_', ' ')} needs a nonempty trace")
     worst, at = 0.0, None

@@ -34,8 +34,10 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class StepRecord:
+    """One recorded step. Frozen and slotted: it has no __dict__, so read it
+    with dataclasses.fields or asdict, not vars()."""
     m: int
     atom: Atom
     c: float
@@ -45,8 +47,23 @@ class StepRecord:
     residual_norm: float
     block: Optional[int] = None
 
+    def __init__(self, m, atom, c, t, ip, sup, residual_norm, block=None):
+        # each field through its slot's own setter, which the frozen
+        # __setattr__ does not guard: the generated __init__ pays for one
+        # object.__setattr__ lookup per field, once per step and per row read
+        _set_m(self, m)
+        _set_atom(self, atom)
+        _set_c(self, c)
+        _set_t(self, t)
+        _set_ip(self, ip)
+        _set_sup(self, sup)
+        _set_residual_norm(self, residual_norm)
+        _set_block(self, block)
+
 
 CSV_HEADER = [f.name for f in fields(StepRecord)]
+(_set_m, _set_atom, _set_c, _set_t, _set_ip, _set_sup, _set_residual_norm,
+ _set_block) = [getattr(StepRecord, name).__set__ for name in CSV_HEADER]
 
 
 @dataclass(frozen=True)
@@ -219,7 +236,8 @@ def trace_to_json_obj(trace: Trace) -> dict:
         "initial_norm": trace.initial_norm,
         "max_steps": trace.max_steps,
         "status": None if trace.status is None else trace.status.to_json_obj(),
-        "steps": [dict(vars(r), atom=atom_id_str(r.atom.id)) for r in trace.steps],
+        "steps": [dict({k: getattr(r, k) for k in CSV_HEADER}, atom=atom_id_str(r.atom.id))
+                  for r in trace.steps],
     }
 
 

@@ -15,7 +15,7 @@ from greedyexp.core import SparseVector
 from greedyexp.counterexample import default_config, run_counterexample
 from greedyexp.dictionaries import Atom, CoherenceEstimate, direct_sum, make_finite, make_symmetrized_onb
 from greedyexp.engine import StepRecord, Trace, run
-from greedyexp.errors import PreconditionUnmetError
+from greedyexp.errors import ConfigInvalidError, PreconditionUnmetError
 from greedyexp.sequences import ConstantWeakening, Explicit, Harmonic
 
 
@@ -82,6 +82,24 @@ def test_greedy_condition_detects_forged_step():
     report = verify_greedy_condition(forged)
     assert not report.all_passed
     assert report.checks[0].worst_violation == pytest.approx(0.1, rel=1e-12)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+@pytest.mark.parametrize("check", [verify_energy_identity, verify_greedy_condition])
+def test_bad_tolerance_raises_config_invalid(check, tol):
+    trace = onb_run(steps=20)
+    with pytest.raises(ConfigInvalidError, match="tolerance must be finite and >= 0"):
+        check(trace, tol=tol)
+    with pytest.raises(ConfigInvalidError, match="tolerance must be finite and >= 0"):
+        check(Trace(), tol=tol)
+    assert check(trace, tol=0.0).checks[0].applicable_steps > 0
+
+
+def test_bad_tolerance_raises_in_descent_inequality():
+    trace = onb_run(steps=20)
+    with pytest.raises(ConfigInvalidError, match="descent inequality tolerance"):
+        verify_descent_inequality(trace, CoherenceEstimate(1.0, samples=1, seed=0),
+                                  epsilon=1e3, from_step=1, tol=math.nan)
 
 
 def _with_nan(trace, field_at):

@@ -429,6 +429,23 @@ def test_check_descent_precondition_failures_pinned(finite_trace, tmp_path, caps
     assert not report.exists()
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--energy-tol", "nan"), ("--energy-tol", "inf"), ("--energy-tol", "-1"),
+    ("--greedy-tol", "nan"), ("--greedy-tol", "-inf"), ("--greedy-tol", "-1"),
+])
+def test_check_bad_tolerance_exits_1(finite_trace, tmp_path, capsys, option, value):
+    """A NaN tolerance used to fail every check (exit 3) and an infinite one to
+    pass every row: both are option errors, whatever the trace holds."""
+    report = tmp_path / "report.json"
+    argv = ["check", "--trace", finite_trace, "--report", str(report), f"{option}={value}"]
+    assert main(argv) == 1
+    name = "energy identity" if option == "--energy-tol" else "greedy condition"
+    got = float(value)
+    assert capsys.readouterr() == (
+        "", f"error: {name} tolerance must be finite and >= 0, got {got}\n")
+    assert not report.exists()
+
+
 CHECK_LINES = (
     "ok   energy_identity: worst violation 4.15e-16 at step 31\n"
     "ok   greedy_condition: worst violation 0\n"

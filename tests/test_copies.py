@@ -1,7 +1,7 @@
-"""copy, deepcopy and pickle of vectors, and of the dictionaries and traces
-that hold them. A copy is a plain SparseVector of the same entries, whatever
-state the original was in: one a step has taken over, or one held as its block
-restrictions alone."""
+"""copy, deepcopy and pickle of vectors, and of the dictionaries, step records
+and traces that hold them. A copied vector is a plain SparseVector of the same
+entries, whatever state the original was in: one a step has taken over, or one
+held as its block restrictions alone."""
 
 import copy
 import pickle
@@ -10,7 +10,7 @@ import pytest
 
 from greedyexp.core import SparseVector, block_parts, lifted, subtract_scaled
 from greedyexp.dictionaries import direct_sum, make_finite, make_symmetrized_onb
-from greedyexp.engine import run
+from greedyexp.engine import StepRecord, run
 from greedyexp.sequences import ConstantWeakening, Harmonic
 
 COPIES = {
@@ -90,11 +90,23 @@ def test_a_copied_dictionary_gives_the_same_sup(dictionary, how):
     assert clone.sup_inner(SparseVector.from_pairs(f.items())) == (value, atom)
 
 
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_a_copied_step_record_equals_the_original(how):
+    record = StepRecord(3, SUM.realize(("b", 1, ("e", 1, 2))), 0.5, 0.9, 0.75, 0.8, 0.25, 1)
+    clone = COPIES[how](record)
+    assert type(clone) is StepRecord and clone == record and hash(clone) == hash(record)
+    assert clone.block == 1 and (clone.atom is record.atom) == (how == "copy")
+
+
 @pytest.mark.parametrize("how", DEEP)
 def test_a_copied_trace_equals_the_original(how):
-    trace = run(SparseVector({1: 1.0, 2: -0.5, 3: 0.25}), FINITE, Harmonic(),
-                ConstantWeakening(1.0), max_steps=20)
-    assert trace.steps
-    clone = COPIES[how](trace)
-    assert clone == trace
-    assert all(type(r.atom.vector) is SparseVector for r in clone.steps)
+    # a finite run, whose steps carry no block, and a direct-sum run, whose steps do
+    for dictionary, f in [(FINITE, SparseVector({1: 1.0, 2: -0.5, 3: 0.25})), (SUM, BLOCKS)]:
+        trace = run(SparseVector.from_pairs(f.items()), dictionary, Harmonic(),
+                    ConstantWeakening(1.0), max_steps=20)
+        assert trace.steps
+        assert all((r.block is not None) == (dictionary is SUM) for r in trace.steps)
+        clone = COPIES[how](trace)
+        assert clone == trace
+        assert all(type(r) is StepRecord for r in clone.steps)
+        assert all(type(r.atom.vector) is SparseVector for r in clone.steps)

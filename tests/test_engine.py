@@ -1,11 +1,22 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from greedyexp.core import SparseVector, norm, subtract_scaled
-from greedyexp.dictionaries import MaxGreedy, Scripted, direct_sum, make_finite, make_symmetrized_onb
+from greedyexp.dictionaries import (
+    Atom,
+    MaxGreedy,
+    Scripted,
+    direct_sum,
+    make_finite,
+    make_symmetrized_onb,
+)
 from greedyexp.engine import (
+    CSV_HEADER,
+    StepRecord,
     Trace,
     read_trace_csv,
     read_trace_json,
@@ -215,3 +226,67 @@ def test_onb_sup_is_recomputed_from_scratch():
         value, _ = ONB.sup_inner(remainder)
         assert r.sup == value
         remainder = subtract_scaled(remainder, r.c, r.atom.vector)
+
+
+RECORD_ATOM = Atom(("e", 0, 1), SparseVector({1: 1.0}))
+RECORD_VALUES = (1, RECORD_ATOM, 0.5, 1.0, 0.25, 0.25, 0.75, 2)
+
+
+def test_step_record_positional_and_keyword_construction():
+    positional = StepRecord(*RECORD_VALUES)
+    keyword = StepRecord(**dict(zip(CSV_HEADER, RECORD_VALUES)))
+    assert positional == keyword
+    assert [getattr(keyword, k) for k in CSV_HEADER] == list(RECORD_VALUES)
+    assert StepRecord(*RECORD_VALUES[:-1]).block is None
+    with pytest.raises(TypeError):
+        StepRecord(*RECORD_VALUES[:-2])
+
+
+@pytest.mark.parametrize("name", CSV_HEADER)
+def test_step_record_fields_are_frozen(name):
+    record = StepRecord(*RECORD_VALUES)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, name, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(record, name)
+    assert getattr(record, name) == RECORD_VALUES[CSV_HEADER.index(name)]
+
+
+def test_step_record_is_a_dataclass_record():
+    record = StepRecord(*RECORD_VALUES)
+    assert [f.name for f in dataclasses.fields(StepRecord)] == CSV_HEADER
+    assert [f.default for f in dataclasses.fields(StepRecord)][-1] is None
+    assert dataclasses.asdict(record) == dict(
+        zip(CSV_HEADER, RECORD_VALUES), atom={"id": ("e", 0, 1), "vector": RECORD_ATOM.vector})
+    assert record == StepRecord(*RECORD_VALUES) and hash(record) == hash(RECORD_VALUES)
+    assert record != StepRecord(*RECORD_VALUES[:-1]) and record != RECORD_VALUES
+    assert repr(record) == (f"StepRecord(m=1, atom={RECORD_ATOM!r}, c=0.5, t=1.0, ip=0.25, "
+                            "sup=0.25, residual_norm=0.75, block=2)")
+    changed = dataclasses.replace(record, ip=0.125, block=None)
+    assert (changed.ip, changed.block, changed.m) == (0.125, None, 1)
+    assert record.ip == 0.25 and record.block == 2
+    # slotted: no per-record dict, so vars() has nothing to give
+    with pytest.raises(TypeError):
+        vars(record)
+
+
+# SHA-256 of what write_trace_json wrote for these two runs before StepRecord
+# became a slotted dataclass; one basis run and one direct sum, whose steps
+# carry their block
+JSON_TRACE_SHA256 = {
+    "basis": "238b95bcc25e11f5c27a4b7fb275ad8096f12e28d39d6f738d1180f47e48c09c",
+    "direct_sum": "d354e9c98db9a16a79e6a245481a7f5b70fd64b78fb58795f9df59dc05699523",
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_TRACE_SHA256))
+def test_json_trace_bytes_pinned(tmp_path, case):
+    if case == "basis":
+        trace = run(dense([0.9, -0.4]), ONB, Harmonic(), T1, max_steps=2)
+    else:
+        d = direct_sum([make_finite([dense([1]), dense([0, 1])]), make_symmetrized_onb()])
+        trace = run(SparseVector({(1, 1): 0.8, (2, 3): 0.6}), d, Harmonic(), T1, max_steps=2)
+    path = tmp_path / "trace.json"
+    write_trace_json(trace, str(path))
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == JSON_TRACE_SHA256[case], data.decode()
