@@ -28,9 +28,6 @@ class CheckResult:
     step: Optional[int] = None      # step of the worst violation
     applicable_steps: Optional[int] = None
 
-    def to_json_obj(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class VerificationReport:
@@ -45,7 +42,7 @@ class VerificationReport:
 
     def to_json_obj(self) -> dict:
         return {"all_passed": self.all_passed,
-                "checks": [c.to_json_obj() for c in self.checks]}
+                "checks": [asdict(c) for c in self.checks]}
 
     def merged(self, other: "VerificationReport") -> "VerificationReport":
         return VerificationReport(self.checks + other.checks)

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import asdict
 
 from . import analysis, counterexample, engine, sequences
 from .core import SparseVector
@@ -35,13 +37,27 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _finite(text: str) -> float:
+    """A JSON number or NaN/Infinity constant as a float; one that is not
+    finite, 1e400 included, raises ConfigInvalidError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigInvalidError(f"non-finite number {text} in JSON")
+    return value
+
+
+# configs and target files hold finite numbers only, so the metadata that
+# echoes a config is strict JSON; a trace may hold a NaN, which check grades
+_FINITE_JSON = {"parse_constant": _finite, "parse_float": _finite}
+
+
 def _target_from_config(spec: dict) -> SparseVector:
     if not isinstance(spec, dict):
         raise ConfigInvalidError("target spec must be an object")
     if "inline" in spec:
         return SparseVector.from_json(spec["inline"])
     if "file" in spec:
-        return SparseVector.from_json(engine._load_json(spec["file"]))
+        return SparseVector.from_json(engine._load_json(spec["file"], **_FINITE_JSON))
     if "counterexample" in spec:
         ce = spec["counterexample"]
         cfg = counterexample.default_config(
@@ -81,34 +97,32 @@ def _effective_seed(config: dict):
 def run_experiment(config_path: str) -> int:
     """Execute one run config; returns the process exit code."""
     try:
-        config = engine._load_json(config_path)
+        config = engine._load_json(config_path, **_FINITE_JSON)
         target = _target_from_config(config["target"])
         dictionary = dictionary_from_config(config["dictionary"])
         coefficients = sequences.coefficients_from_config(config["coefficients"])
         weakening = sequences.weakening_from_config(config["weakening"])
         policy = _policy_from_config(config.get("policy"))
-        max_steps = int(config["max_steps"])
+        max_steps = config["max_steps"]
         stop_below = config.get("early_exit_threshold")
-        threshold = None if stop_below is None else float(stop_below)
         outputs = config["outputs"]
         trace_path, meta_path = outputs["trace"], outputs["metadata"]
         seed = _effective_seed(config)
-    except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError,
-            GreedyExpansionError) as exc:
+    except (KeyError, TypeError, ValueError, OSError, GreedyExpansionError) as exc:
         return _fail(f"{config_path}: {exc}")
 
     try:
         trace = engine.run(target, dictionary, coefficients, weakening,
-                           policy=policy, max_steps=max_steps, stop_below=threshold)
+                           policy=policy, max_steps=max_steps, stop_below=stop_below)
         engine.write_trace_csv(trace, trace_path)
         meta = {
             "config": config,
             "seed": seed,
-            "status": trace.status.to_json_obj(),
+            "status": asdict(trace.status),
             "initial_norm": trace.initial_norm,
             "final_residual": trace.final_residual(),
             "steps": len(trace.steps),
-            "max_steps": max_steps,
+            "max_steps": trace.max_steps,
             "early_exit_threshold": stop_below,
             "truncation_reason": trace.status.reason,
         }

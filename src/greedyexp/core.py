@@ -313,6 +313,15 @@ def norm(v: SparseVector) -> float:
     return v.norm()
 
 
+def norm_or_inf(v: SparseVector) -> float:
+    """v.norm(), or inf where it overflows: the one rule by which an
+    overflowing norm counts as infinite."""
+    try:
+        return v.norm()
+    except OverflowError:
+        return math.inf
+
+
 def _units(square: float) -> int:
     """A finite square as an exact int multiple of 2**-1074; raises
     OverflowError (inf) or ValueError (NaN) otherwise."""

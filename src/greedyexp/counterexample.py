@@ -41,6 +41,11 @@ from .sequences import ConstantWeakening, Explicit
 
 _TUNE_ULPS = 8
 
+# the largest group parameter choose_k searches, reached at t = 0.99954: the
+# smallest k grows like log(k)/(2(1-t)), so without a ceiling a t near 1 would
+# count up for hours and then build groups of k or more coordinates each
+K_CEILING = 10_000
+
 
 @dataclass(frozen=True)
 class CounterexampleConfig:
@@ -87,12 +92,16 @@ class AdversarialPlan:
 
 
 def choose_k(t: float) -> int:
-    """Smallest k > 1 with t^k < 1/sqrt(k) and k > t^2/(1-t^2)."""
+    """Smallest k > 1 with t^k < 1/sqrt(k) and k > t^2/(1-t^2). A t that
+    needs k > K_CEILING raises ConfigInvalidError."""
     if not 0.0 < t < 1.0:
         raise ConfigInvalidError(f"weakening parameter must lie in (0, 1), got {t}")
     k = 2
     while not (t ** k < 1.0 / math.sqrt(k) and k > t ** 2 / (1.0 - t ** 2)):
         k += 1
+        if k > K_CEILING:
+            raise ConfigInvalidError(
+                f"t={t} needs a group parameter k > {K_CEILING}; give k or a t further from 1")
     return k
 
 

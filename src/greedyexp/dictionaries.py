@@ -40,7 +40,8 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .core import SparseVector, block_parts, index_key, inner, lifted, tail_peak, tail_top, validate_index
+from .core import (SparseVector, block_parts, index_key, inner, lifted, norm_or_inf, tail_peak,
+                   tail_top, validate_index)
 from .errors import (
     ConfigInvalidError,
     EmptyVectorError,
@@ -351,10 +352,7 @@ class SymmetrizedOnb(_Headed):
 
 
 def _unit_sparse(vector: SparseVector, position: str) -> SparseVector:
-    try:
-        n = vector.norm()
-    except OverflowError:
-        n = math.inf
+    n = norm_or_inf(vector)
     if not math.isfinite(n):
         raise ConfigInvalidError(f"{position}: atom norm {n} is not finite")
     if n < _ATOM_NORM_FLOOR:

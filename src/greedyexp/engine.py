@@ -19,10 +19,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
+import operator
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
-from .core import SparseVector, inner, norm, subtract_scaled
+from .core import SparseVector, inner, norm_or_inf, subtract_scaled
 from .dictionaries import Atom, Dictionary, MaxGreedy, atom_id_str, parse_atom_id
 from .errors import (
     ConfigInvalidError,
@@ -72,9 +74,6 @@ class Status:
     step: Optional[int] = None
     reason: Optional[str] = None
 
-    def to_json_obj(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class Trace:
@@ -100,26 +99,25 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
     as Stopped. Scripted-plan violations and exhausted explicit sequences end
     the run as Aborted, as does a step whose residual norm is not finite or
     overflows; that step is not recorded. A target whose norm is not finite or
-    overflows and a NaN stop_below raise ConfigInvalidError.
+    overflows raises ConfigInvalidError, as do a max_steps that is a bool, no
+    integer or negative and a stop_below that is a bool, no real number or NaN.
     """
-    if max_steps < 0:
-        raise ConfigInvalidError("max_steps must be >= 0")
-    if stop_below is not None and math.isnan(stop_below):
-        raise ConfigInvalidError("stop_below must not be NaN")
+    if isinstance(max_steps, bool) or not isinstance(max_steps, numbers.Integral) or max_steps < 0:
+        raise ConfigInvalidError(f"max_steps must be an integer >= 0, got {max_steps!r}")
+    if not (stop_below is None or isinstance(stop_below, numbers.Real)
+            and not isinstance(stop_below, bool) and not math.isnan(stop_below)):
+        raise ConfigInvalidError(f"stop_below must be a real number, not NaN, got {stop_below!r}")
     policy = policy if policy is not None else MaxGreedy()
     # a policy that never reads the witness spares a dictionary that can give
     # the sup alone the search for it; any other pair passes the vector alone
     sup_alone = (not getattr(policy, "needs_witness", True)
                  and getattr(dictionary, "witness_optional", False))
     remainder = SparseVector._trusted(dict(f._entries))
-    try:
-        initial_norm = norm(f)
-    except OverflowError:
-        initial_norm = math.inf
+    initial_norm = norm_or_inf(f)
     if not math.isfinite(initial_norm):
         raise ConfigInvalidError(f"target norm must be finite, got {initial_norm}")
-    trace = Trace(initial_norm=initial_norm, max_steps=max_steps)
-    for m in range(1, max_steps + 1):
+    trace = Trace(initial_norm=initial_norm, max_steps=operator.index(max_steps))
+    for m in range(1, trace.max_steps + 1):
         if remainder.is_zero():
             trace.status = Status("stopped", m)
             return trace
@@ -136,10 +134,7 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
             return trace
         ip = inner(remainder, atom.vector)
         remainder = subtract_scaled(remainder, c, atom.vector)
-        try:
-            residual = norm(remainder)
-        except OverflowError:
-            residual = math.inf
+        residual = norm_or_inf(remainder)
         if not residual < math.inf:
             trace.status = Status("aborted", m, f"residual norm {residual} is not finite")
             return trace
@@ -148,7 +143,7 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
         if stop_below is not None and residual < stop_below:
             trace.status = Status("exhausted", m, "early_exit_threshold")
             return trace
-    trace.status = Status("exhausted", max_steps)
+    trace.status = Status("exhausted", trace.max_steps)
     return trace
 
 
@@ -235,7 +230,7 @@ def trace_to_json_obj(trace: Trace) -> dict:
     return {
         "initial_norm": trace.initial_norm,
         "max_steps": trace.max_steps,
-        "status": None if trace.status is None else trace.status.to_json_obj(),
+        "status": None if trace.status is None else asdict(trace.status),
         "steps": [dict({k: getattr(r, k) for k in CSV_HEADER}, atom=atom_id_str(r.atom.id))
                   for r in trace.steps],
     }
@@ -253,12 +248,12 @@ def _json_field(value) -> str:
     return "" if value is None else json.dumps(value)
 
 
-def _load_json(path: str):
-    """The JSON document at path; one nested too deeply for the parser raises
-    GreedyExpansionError, not RecursionError."""
+def _load_json(path: str, **options):
+    """The JSON document at path, read with json.load's options; one nested
+    too deeply for the parser raises GreedyExpansionError, not RecursionError."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, **options)
         except RecursionError as exc:
             raise GreedyExpansionError(f"JSON nested too deeply: {exc}") from exc
 

@@ -32,6 +32,13 @@ def onb_run(seed=0, steps=200, d=6):
     return run(dense(rng.standard_normal(d)), ONB, Harmonic(), T1, max_steps=steps)
 
 
+@pytest.mark.parametrize("verify", [verify_energy_identity, verify_greedy_condition,
+                                    verify_block_partition])
+def test_checks_need_a_nonempty_trace(verify):
+    with pytest.raises(PreconditionUnmetError, match="needs a nonempty trace"):
+        verify(Trace())
+
+
 def test_energy_identity_passes_on_engine_trace():
     report = verify_energy_identity(onb_run(), tol=1e-10)
     assert report.all_passed

@@ -1,11 +1,12 @@
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import math
 
 import pytest
 
-from greedyexp import cli
+from greedyexp import cli, counterexample, engine
 from greedyexp.cli import main
 
 MINIMAL = {
@@ -80,6 +81,67 @@ def test_run_non_finite_input_exits_1(tmp_path, capsys, overrides):
     assert main(["run", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "config.json.trace.csv").exists()
+
+
+def raw_config(tmp_path, key, text):
+    """A config whose value at key is the JSON text given, which json.dumps
+    need not be able to write (1e400, say)."""
+    path, _ = write_config(tmp_path, **{key: "<raw>"})
+    path.write_text(path.read_text().replace('"<raw>"', text))
+    return path
+
+
+@pytest.mark.parametrize("text,message", [
+    ("Infinity", "non-finite number Infinity in JSON"),
+    ("1e400", "non-finite number 1e400 in JSON"),
+    ("1.9", "max_steps must be an integer >= 0, got 1.9"),
+    ("true", "max_steps must be an integer >= 0, got True"),
+    ("-0.5", "max_steps must be an integer >= 0, got -0.5"),
+    ('"10"', "max_steps must be an integer >= 0, got '10'"),
+    ("1e5", "max_steps must be an integer >= 0, got 100000.0"),
+    ("10.0", "max_steps must be an integer >= 0, got 10.0"),
+    ("-1", "max_steps must be an integer >= 0, got -1"),
+])
+def test_run_max_steps_that_is_no_count_exits_1(tmp_path, capsys, text, message):
+    path = raw_config(tmp_path, "max_steps", text)
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+    assert not (tmp_path / "config.json.trace.csv").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("Infinity", "non-finite number Infinity in JSON"),
+    ("-Infinity", "non-finite number -Infinity in JSON"),
+    ("NaN", "non-finite number NaN in JSON"),
+    ("-1e400", "non-finite number -1e400 in JSON"),
+    ('"0.5"', "stop_below must be a real number, not NaN, got '0.5'"),
+    ("false", "stop_below must be a real number, not NaN, got False"),
+])
+def test_run_threshold_that_is_no_finite_number_exits_1(tmp_path, capsys, text, message):
+    path = raw_config(tmp_path, "early_exit_threshold", text)
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+    assert not (tmp_path / "config.json.trace.csv").exists()
+
+
+def test_run_target_file_with_a_non_finite_constant_exits_1(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text("[[1, 0.5], [2, NaN]]")
+    path, _ = write_config(tmp_path, target={"file": str(target)})
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: non-finite number NaN in JSON\n")
+
+
+@pytest.mark.parametrize("spec,message", [
+    ([[1, 1.0]], "target spec must be an object"),
+    ({"values": [[1, 1.0]]}, "target spec needs 'inline', 'file' or 'counterexample'"),
+    ({"counterexample": {"t": 0.9999999999, "groups": 2}},
+     "t=0.9999999999 needs a group parameter k > 10000; give k or a t further from 1"),
+], ids=["no_object", "no_source", "t_near_one"])
+def test_run_bad_target_spec_exits_1(tmp_path, capsys, spec, message):
+    path, _ = write_config(tmp_path, target=spec)
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
 @pytest.mark.parametrize("key", ["trace", "metadata"])
@@ -199,6 +261,26 @@ def test_check_trace_with_nan_exits_3(tmp_path, capsys):
     assert "energy_identity" in err and "greedy_condition" in err
 
 
+def test_check_json_trace_with_nan_exits_3(tmp_path, capsys):
+    # a trace, unlike a config, may hold a non-finite constant: check grades it
+    path, config = write_config(tmp_path, **dict(FINITE_2D, max_steps=3))
+    assert main(["run", "--config", str(path)]) == 0
+    trace = engine.read_trace_csv(config["outputs"]["trace"])
+    json_path = str(tmp_path / "trace.json")
+    engine.write_trace_json(dataclasses.replace(trace, steps=[
+        dataclasses.replace(trace.steps[0], ip=math.nan)] + trace.steps[1:]), json_path)
+    assert "NaN" in open(json_path).read()
+    assert main(["check", "--trace", json_path]) == 3
+    assert "FAIL greedy_condition: worst violation nan at step 1" in capsys.readouterr().out
+
+
+def test_check_header_only_trace_exits_1(tmp_path, capsys):
+    bad = tmp_path / "empty.csv"
+    bad.write_text(",".join(engine.CSV_HEADER) + "\r\n")
+    assert main(["check", "--trace", str(bad)]) == 1
+    assert capsys.readouterr() == ("", f"error: trace {bad} has no steps\n")
+
+
 def test_check_unreadable_trace_exits_1(tmp_path):
     bad = tmp_path / "junk.csv"
     bad.write_text("not,a,trace\n1,2,3\n")
@@ -311,6 +393,21 @@ def test_check_unwritable_report_exits_1(tmp_path, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+def test_counterexample_mark_that_falls_short_exits_3(tmp_path, capsys, monkeypatch):
+    run_plan = counterexample.run_plan
+
+    def cut(plan):
+        # the trace ends before the last group's saturation step
+        return run_plan(plan, max_steps=plan.marks[-1].subnorm_one_step - 1)
+
+    monkeypatch.setattr(counterexample, "run_plan", cut)
+    out = tmp_path / "ce.csv"
+    assert main(["counterexample", "--t", "0.5", "--groups", "2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: some phase marks fell short of residual 1\n"
+    marks = json.loads((tmp_path / "ce.marks.json").read_text())["marks"]
+    assert marks[0]["residual_at_mark"] >= 1.0 and marks[1]["residual_at_mark"] is None
+
+
 def test_counterexample_higher_t(tmp_path):
     out = tmp_path / "ce9.csv"
     assert main(["counterexample", "--t", "0.9", "--groups", "3", "--out", str(out)]) == 0
@@ -397,7 +494,9 @@ def finite_trace(tmp_path, capsys):
 @pytest.mark.parametrize("extra,message", [
     (["--groups", "0"], "num_groups must be >= 1"),
     (["--k", "1"], "group parameter k must exceed 1, got 1"),
-], ids=["groups_0", "k_1"])
+    (["--t", "0.9999999999", "--groups", "2"],
+     "t=0.9999999999 needs a group parameter k > 10000; give k or a t further from 1"),
+], ids=["groups_0", "k_1", "t_near_one"])
 def test_counterexample_bad_parameters_pinned(tmp_path, capsys, extra, message):
     argv = ["counterexample", "--t", "0.5", "--out", str(tmp_path / "ce.csv")] + extra
     assert main(argv) == 1

@@ -5,6 +5,7 @@ import pytest
 from greedyexp.analysis import residual_extrema, verify_greedy_condition
 from greedyexp.core import SparseVector
 from greedyexp.counterexample import (
+    K_CEILING,
     CounterexampleConfig,
     build_plan,
     build_target,
@@ -40,6 +41,20 @@ def test_choose_k_conditions_hold_generally():
         for smaller in range(2, k):
             assert not (t ** smaller < 1 / math.sqrt(smaller)
                         and smaller > t * t / (1 - t * t))
+
+
+def test_choose_k_stops_at_its_ceiling():
+    assert choose_k(0.9995) == scan_k(0.9995) <= K_CEILING
+    with pytest.raises(ConfigInvalidError,
+                       match=r"^t=0\.9999999999 needs a group parameter k > 10000; give k"):
+        choose_k(0.9999999999)
+
+
+def test_config_needs_k_above_the_sup_bound():
+    # k = 2 meets t^k < 1/sqrt(k) at t = 0.83, but not k > t^2/(1-t^2) = 2.214...
+    with pytest.raises(ConfigInvalidError, match=r"later groups never dominate the sup; "
+                                                 r"k=2 <= 2\.2144$"):
+        CounterexampleConfig(t=0.83, k=2, num_groups=1)
 
 
 def test_config_validation():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from greedyexp.core import SparseVector, inner, norm
 from greedyexp.dictionaries import (
+    CoherenceEstimate,
     Dictionary,
     MaxGreedy,
     Scripted,
@@ -484,6 +485,23 @@ def test_coherence_deterministic():
     b = estimate_coherence(d, samples=1, seed=1234)
     assert a.value == b.value
     assert (a.samples, a.seed) == (1, 1234)
+
+
+def test_coherence_needs_a_sample():
+    with pytest.raises(ConfigInvalidError, match="needs at least one sample"):
+        CoherenceEstimate(0.5, samples=0, seed=0)
+    with pytest.raises(ConfigInvalidError, match="needs samples >= 1"):
+        estimate_coherence(make_finite([dense([1])]), samples=0, seed=0)
+
+
+def test_atom_id_str_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown atom id"):
+        atom_id_str(("z", 1))
+
+
+def test_finite_dictionary_refuses_a_block_indexed_atom():
+    with pytest.raises(ConfigInvalidError, match="finite dictionary atoms must use plain indices"):
+        make_finite([dense([1]), SparseVector({(1, 2): 1.0})])
 
 
 def test_coherence_requires_finite():

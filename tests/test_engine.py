@@ -172,6 +172,25 @@ def test_run_rejects_non_finite_target(value):
         run(SparseVector({1: value, 2: 0.5}), ONB, Harmonic(), T1, max_steps=5)
 
 
+@pytest.mark.parametrize("max_steps", [10.0, True, -1, "10", None, np.float64(3.0)])
+def test_run_rejects_a_max_steps_that_is_no_count(max_steps):
+    with pytest.raises(ConfigInvalidError, match=r"^max_steps must be an integer >= 0, got "):
+        run(dense([1]), ONB, Harmonic(), T1, max_steps=max_steps)
+
+
+@pytest.mark.parametrize("stop_below", ["x", True, np.float64(math.nan), [0.5]])
+def test_run_rejects_a_stop_below_that_is_no_real_number(stop_below):
+    with pytest.raises(ConfigInvalidError, match=r"^stop_below must be a real number, not NaN"):
+        run(dense([1]), ONB, Harmonic(), T1, max_steps=5, stop_below=stop_below)
+
+
+def test_run_takes_numpy_numbers_for_its_budget():
+    trace = run(dense([1, 0.5]), ONB, Explicit([0.75, 0.5]), T1, max_steps=np.int64(5),
+                stop_below=np.float32(0.3))
+    assert type(trace.max_steps) is int and trace.max_steps == 5
+    assert (trace.status.kind, trace.status.step) == ("exhausted", 2)
+
+
 def test_run_rejects_nan_stop_below():
     with pytest.raises(ConfigInvalidError, match="NaN"):
         run(dense([1]), ONB, Harmonic(), T1, max_steps=5, stop_below=math.nan)

@@ -14,7 +14,7 @@ from greedyexp.analysis import (
     verify_energy_identity,
 )
 from greedyexp.cli import main
-from greedyexp.core import SparseVector
+from greedyexp.core import SparseVector, norm, norm_or_inf
 from greedyexp.counterexample import default_config, run_counterexample
 from greedyexp.dictionaries import (
     CoherenceEstimate,
@@ -214,6 +214,15 @@ EXPLICIT_HUGE = dict(target=[[1, 0.5], [2, -0.25]], coefficients=[1e200, 1, 1], 
                      policy=None)
 SCRIPTED_HUGE = dict(target=[[1, 0.5], [2, 1e154]], coefficients=[1e154], t=1e-160,
                      policy=["+e1"])
+
+
+def test_norm_or_inf_is_the_norm_or_inf_where_it_overflows():
+    v = SparseVector.from_json(OVERFLOWING_TARGET)
+    with pytest.raises(OverflowError):
+        norm(v)
+    assert norm_or_inf(v) == math.inf
+    w = SparseVector({1: 3.0, 2: 4.0})
+    assert norm_or_inf(w) == norm(w) == 5.0
 
 
 def test_run_rejects_an_overflowing_target_norm():

@@ -15,6 +15,17 @@ from greedyexp.sequences import (
 )
 
 
+def test_check_conditions_needs_a_horizon():
+    with pytest.raises(ConfigInvalidError, match="horizon must be >= 1"):
+        check_conditions(Harmonic(), ConstantWeakening(1.0), 0)
+
+
+@pytest.mark.parametrize("parse", [coefficients_from_config, weakening_from_config])
+def test_explicit_spec_needs_values_or_file(parse):
+    with pytest.raises(ConfigInvalidError, match="needs 'values' or 'file'"):
+        parse({"kind": "explicit"})
+
+
 def test_harmonic_eval():
     assert Harmonic().eval(4) == 0.25
     assert Harmonic(scale=2.0).eval(4) == 0.5
