@@ -60,8 +60,7 @@ def _target_from_config(spec: dict) -> SparseVector:
         return SparseVector.from_json(engine._load_json(spec["file"], **_FINITE_JSON))
     if "counterexample" in spec:
         ce = spec["counterexample"]
-        cfg = counterexample.default_config(
-            float(ce["t"]), int(ce["groups"]), int(ce["k"]) if "k" in ce else None)
+        cfg = counterexample.default_config(ce["t"], ce["groups"], ce.get("k"))
         return counterexample.build_target(cfg)
     raise ConfigInvalidError("target spec needs 'inline', 'file' or 'counterexample'")
 

@@ -30,13 +30,14 @@ coefficients within a couple of ulps of 1/sqrt(h) and the marks flag cleared.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 from .core import SparseVector
 from .dictionaries import Scripted, SymmetrizedOnb
 from .engine import Trace, run
-from .errors import ConfigInvalidError, PlanConstructionError
+from .errors import ConfigInvalidError, PlanConstructionError, is_number
 from .sequences import ConstantWeakening, Explicit
 
 _TUNE_ULPS = 8
@@ -47,15 +48,26 @@ _TUNE_ULPS = 8
 K_CEILING = 10_000
 
 
+def _check_t(t):
+    if not is_number(t):
+        raise ConfigInvalidError(f"weakening parameter must be a real number, got {t!r}")
+    if not 0.0 < t < 1.0:
+        raise ConfigInvalidError(f"weakening parameter must lie in (0, 1), got {t}")
+
+
 @dataclass(frozen=True)
 class CounterexampleConfig:
+    """t a real number in (0, 1); k and num_groups integers, not bools."""
+
     t: float
     k: int
     num_groups: int
 
     def __post_init__(self):
-        if not 0.0 < self.t < 1.0:
-            raise ConfigInvalidError(f"weakening parameter must lie in (0, 1), got {self.t}")
+        _check_t(self.t)
+        for name, value in (("group parameter k", self.k), ("num_groups", self.num_groups)):
+            if not is_number(value, numbers.Integral):
+                raise ConfigInvalidError(f"{name} must be an integer, got {value!r}")
         if self.k <= 1:
             raise ConfigInvalidError(f"group parameter k must exceed 1, got {self.k}")
         if not self.t ** self.k < 1.0 / math.sqrt(self.k):
@@ -93,9 +105,9 @@ class AdversarialPlan:
 
 def choose_k(t: float) -> int:
     """Smallest k > 1 with t^k < 1/sqrt(k) and k > t^2/(1-t^2). A t that
-    needs k > K_CEILING raises ConfigInvalidError."""
-    if not 0.0 < t < 1.0:
-        raise ConfigInvalidError(f"weakening parameter must lie in (0, 1), got {t}")
+    needs k > K_CEILING raises ConfigInvalidError, as does a t that is no
+    real number in (0, 1)."""
+    _check_t(t)
     k = 2
     while not (t ** k < 1.0 / math.sqrt(k) and k > t ** 2 / (1.0 - t ** 2)):
         k += 1

@@ -9,18 +9,19 @@ for a policy that never reads the witness.
 
 Every dictionary but a direct sum is one object, a `_Headed`: a materialized
 `head` of atoms plus, unless `tail_start` is None, the untouched signed basis on
-indices >= tail_start. Its subclasses (the symmetrized basis, finite
-dictionaries, augmented bases and pushforwards) only validate their input and
-build the head, and the `make_*` names, `direct_sum` and `pushforward` are the
-classes themselves. A basis tail takes plain indices only: a block-indexed
-vector raises ConfigInvalidError. A materialized head is also kept as a dense
-float64 matrix; the symmetrized basis has an empty head and no matrix. A query
-bounds every head atom's `fsum` score with one matrix-vector product and a
-certified error bound, and scores exactly only the atoms that can reach the
-sup or its witness band; the answer is the one a full scan gives, bit for bit.
-numpy is imported only where a dense array is built or read: materialized
-heads (finite, augmented, pushforward, and direct sums holding one), the
-pushforward matrix and the coherence tools.
+indices >= tail_start, with one `sup_inner` and one `realize` for all of them.
+Its subclasses (the symmetrized basis, finite dictionaries, augmented bases and
+pushforwards) only validate their input and build the head; the symmetrized
+basis is the one with an empty head and the tail from index 1. The `make_*`
+names, `direct_sum` and `pushforward` are the classes themselves. A basis tail
+takes plain indices only: a block-indexed vector raises ConfigInvalidError. A
+nonempty head is also kept as a dense float64 matrix. A query bounds every
+head atom's `fsum` score with one matrix-vector product and a certified error
+bound, and scores exactly only the atoms that can reach the sup or its witness
+band; the answer is the one a full scan gives, bit for bit. numpy is imported
+only where a dense array is built or read: nonempty heads (finite, augmented,
+pushforward, and direct sums holding one), the pushforward matrix and the
+coherence tools.
 
 Atom ids are plain tuples whose natural tuple order is the canonical order:
 
@@ -185,7 +186,7 @@ def _dense_rows(atoms: Sequence[Atom], columns: Sequence) -> np.ndarray:
 class _DenseHead:
     """A materialized head as a dense float64 matrix, one row per atom in head
     order, over the sorted union of the atoms' supports, with its absolute
-    value beside it: the input of the certified screen in _select."""
+    value beside it: the input of the certified screen in _Headed.sup_inner."""
 
     __slots__ = ("columns", "matrix", "magnitudes", "factor", "floor")
 
@@ -227,37 +228,6 @@ class _DenseHead:
         # above it, and the threshold below the sup minus WITNESS_BAND
         threshold = max(float((est - err).max()), tail_top) - WITNESS_BAND
         return np.flatnonzero(est + err >= threshold).tolist()
-
-
-def _select(f: SparseVector, head: Sequence[Atom], tail_start: Optional[int],
-            dense: Optional[_DenseHead] = None) -> tuple:
-    """sup_inner over the head atoms plus, unless tail_start is None, the signed
-    basis on indices >= tail_start. Ties resolve in two stages: the basis tail
-    picks its own witness first, then _best decides between it and the head.
-    The tail's exact max and the entries within WITNESS_BAND of it come from
-    f's magnitude heap, so a step on a basis tail scans no remainder.
-
-    The head is screened, not scanned: dense, the head's _DenseHead, bounds
-    every row's fsum score with two matrix-vector products, and only the rows
-    that can reach the sup or its witness band are scored with `inner`. Those
-    include the top row and every row within the band, kept in head order, so
-    _best returns the value and witness a full scan gives, bit for bit. Only
-    an empty head comes without its dense form."""
-    tail = None
-    if tail_start is not None:
-        peak = tail_peak(f, tail_start, WITNESS_BAND)
-        if peak is not None:
-            top, near = peak
-            rank, i = min((0 if x > 0 else 1, i) for i, x in near)
-            # i is one of f's entries, so its index needs no validation
-            tail = (top, Atom(("e", rank, i), SparseVector._trusted({i: -1.0 if rank else 1.0})))
-    candidates = []
-    if head and not f.is_zero():
-        rows = dense.rows(f, -math.inf if tail is None else tail[0])
-        candidates = [(inner(f, head[k].vector), head[k]) for k in rows]
-    if tail is not None:
-        candidates.append(tail)
-    return _best(candidates)
 
 
 def _well_formed(aid) -> bool:
@@ -309,10 +279,41 @@ class _Headed(Dictionary):
     def __init__(self, head: list, tail_start: Optional[int], what: str):
         self.head, self.tail_start, self._what = head, tail_start, what
         self._head_by_id = {a.id: a for a in head}
-        self._dense = _DenseHead(head)
+        # an empty head has no dense form, so numpy stays unloaded
+        self._dense = _DenseHead(head) if head else None
 
-    def sup_inner(self, f: SparseVector) -> tuple:
-        return _select(f, self.head, self.tail_start, self._dense)
+    def sup_inner(self, f: SparseVector, witness: bool = True) -> tuple:
+        """The sup over the head atoms and the basis tail. Ties resolve in two
+        stages: the basis tail picks its own witness first, then _best decides
+        between it and the head. The tail's exact max and the entries within
+        WITNESS_BAND of it come from f's magnitude heap, so a step on a basis
+        tail scans no remainder.
+
+        The head is screened, not scanned: its _DenseHead bounds every row's
+        fsum score with two matrix-vector products, and only the rows that can
+        reach the sup or its witness band are scored with `inner`. Those
+        include the top row and every row within the band, kept in head order,
+        so _best returns the value and witness a full scan gives, bit for bit.
+
+        witness=False on an empty head gives (sup, None): the tail's top
+        alone, with no search for its witness."""
+        head, tail_start = self.head, self.tail_start
+        if not (witness or head):
+            # _best raises its error on a zero vector
+            top = tail_top(f, tail_start)
+            return _best([] if top is None else [(top, None)])
+        peak = None if tail_start is None else tail_peak(f, tail_start, WITNESS_BAND)
+        candidates = []
+        if head and not f.is_zero():
+            rows = self._dense.rows(f, -math.inf if peak is None else peak[0])
+            candidates = [(inner(f, head[k].vector), head[k]) for k in rows]
+        if peak is not None:
+            top, near = peak
+            rank, i = min((0 if x > 0 else 1, i) for i, x in near)
+            # i is one of f's entries, so its index needs no validation
+            vector = SparseVector._trusted({i: -1.0 if rank else 1.0})
+            candidates.append((top, Atom(("e", rank, i), vector)))
+        return _best(candidates)
 
     def realize(self, aid: AtomId) -> Atom:
         if _well_formed(aid):
@@ -332,23 +333,16 @@ class _Headed(Dictionary):
 
 class SymmetrizedOnb(_Headed):
     """The symmetrized canonical orthonormal basis {e_i} ∪ {-e_i}, never
-    materialized: an empty head, held by the class, and no dense form."""
+    materialized: the head-plus-tail dictionary with an empty head and the
+    basis tail from index 1. It also gives the sup alone, without a witness."""
 
     kind = "symmetrized_onb"
     witness_optional = True
-    head, tail_start, _head_by_id, _what = (), 1, {}, "a signed basis atom"
-    # not _Headed's: there is nothing to build
-    __init__ = object.__init__
 
-    def sup_inner(self, f: SparseVector, witness: bool = True) -> tuple:
-        if witness:
-            return _select(f, (), 1)
-        # the witness query's sup is the tail's top, and _best raises its
-        # error on a zero vector
-        top = tail_top(f, 1)
-        return _best([] if top is None else [(top, None)])
+    def __init__(self):
+        super().__init__([], 1, "a signed basis atom")
 
-    realize = _Headed.realize
+    sup_inner, realize = _Headed.sup_inner, _Headed.realize
 
 
 def _unit_sparse(vector: SparseVector, position: str) -> SparseVector:
@@ -479,7 +473,9 @@ def _check_orthogonal(q: np.ndarray):
     np = _numpy()
     if q.ndim != 2 or q.shape[0] != q.shape[1] or not q.size:
         raise NotOrthogonalError(f"matrix must be square and nonempty, got shape {q.shape}")
-    dev = float(np.max(np.abs(q.T @ q - np.eye(q.shape[0]))))
+    # a matrix whose product overflows deviates by inf, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = float(np.max(np.abs(q.T @ q - np.eye(q.shape[0]))))
     if not dev <= _ORTHOGONALITY_TOL:
         raise NotOrthogonalError(f"Q^T Q deviates from identity by {dev:g} > {_ORTHOGONALITY_TOL:g}")
 
@@ -597,15 +593,11 @@ class Scripted:
 # ---------------------------------------------------------------------------
 
 
-def _finite_atoms(dictionary: Dictionary) -> list:
-    if not isinstance(dictionary, _Headed) or dictionary.tail_start is not None:
-        raise ConfigInvalidError("operation needs a finite dictionary (or a pushforward of one)")
-    return dictionary.head
-
-
 def atom_matrix(dictionary: Dictionary) -> np.ndarray:
     """Materialized atoms as rows of a dense matrix (plain indices only)."""
-    atoms = _finite_atoms(dictionary)
+    if not isinstance(dictionary, _Headed) or dictionary.tail_start is not None:
+        raise ConfigInvalidError("operation needs a finite dictionary (or a pushforward of one)")
+    atoms = dictionary.head
     return _dense_rows(atoms, range(1, max(i for a in atoms for i in a.vector._entries) + 1))
 
 

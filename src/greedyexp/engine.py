@@ -33,6 +33,7 @@ from .errors import (
     NoAdmissibleAtomError,
     PreconditionUnmetError,
     UnknownAtomError,
+    is_number,
 )
 
 
@@ -102,11 +103,11 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
     overflows raises ConfigInvalidError, as do a max_steps that is a bool, no
     integer or negative and a stop_below that is a bool, no real number or NaN.
     """
-    if isinstance(max_steps, bool) or not isinstance(max_steps, numbers.Integral) or max_steps < 0:
+    if not is_number(max_steps, numbers.Integral) or max_steps < 0:
         raise ConfigInvalidError(f"max_steps must be an integer >= 0, got {max_steps!r}")
-    if not (stop_below is None or isinstance(stop_below, numbers.Real)
-            and not isinstance(stop_below, bool) and not math.isnan(stop_below)):
-        raise ConfigInvalidError(f"stop_below must be a real number, not NaN, got {stop_below!r}")
+    if not (stop_below is None or is_number(stop_below) and not math.isnan(stop_below)):
+        raise ConfigInvalidError(f"stop_below must be a real number, not NaN, got {stop_below!r} "
+                                 "(a run config's early_exit_threshold)")
     policy = policy if policy is not None else MaxGreedy()
     # a policy that never reads the witness spares a dictionary that can give
     # the sup alone the search for it; any other pair passes the vector alone

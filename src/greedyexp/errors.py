@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the config parser that raises them."""
+"""Exception types shared across the package, and the config rules that raise them."""
+
+import numbers
 
 
 class GreedyExpansionError(Exception):
@@ -43,6 +45,12 @@ class PlanConstructionError(GreedyExpansionError):
 
 class UnknownAtomError(GreedyExpansionError):
     """An atom id does not belong to the dictionary it was resolved against."""
+
+
+def is_number(value, kind=numbers.Real) -> bool:
+    """Is value an instance of kind, numbers.Real or numbers.Integral, numpy's
+    numbers included? A bool is neither: true is no parameter and no count."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def parse_tagged(spec, builders: dict, section: str):

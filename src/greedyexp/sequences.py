@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import ConfigInvalidError, IndexPastEndError, parse_tagged
+from .errors import ConfigInvalidError, IndexPastEndError, is_number, parse_tagged
 
 HEURISTIC_NOTE = (
     "divergence/vanishing flags are doubling-checkpoint heuristics over a finite "
@@ -169,9 +169,19 @@ def check_conditions(coefficients: CoefficientSequence, weakening: WeakeningSequ
 # ---------------------------------------------------------------------------
 
 
+def _real(value, name: str) -> float:
+    """A config's number as a float: an int or a float, not a bool or a string."""
+    if not is_number(value):
+        raise ConfigInvalidError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigInvalidError(f"{name} is an integer too large for a float") from exc
+
+
 def _explicit_values(spec: dict) -> list:
     if "values" in spec:
-        return list(spec["values"])
+        return [_real(v, f"values[{j}]") for j, v in enumerate(spec["values"])]
     if "file" in spec:
         with open(spec["file"], newline="") as fh:
             return [float(row[0]) for row in csv.reader(fh) if row]
@@ -179,13 +189,14 @@ def _explicit_values(spec: dict) -> list:
 
 
 _COEFFICIENT_BUILDERS = {
-    "harmonic": lambda spec: Harmonic(scale=float(spec.get("scale", 1.0))),
-    "power": lambda spec: Power(alpha=float(spec["alpha"]), scale=float(spec.get("scale", 1.0))),
+    "harmonic": lambda spec: Harmonic(scale=_real(spec.get("scale", 1.0), "scale")),
+    "power": lambda spec: Power(alpha=_real(spec["alpha"], "alpha"),
+                                scale=_real(spec.get("scale", 1.0), "scale")),
     "explicit": lambda spec: Explicit(_explicit_values(spec)),
 }
 
 _WEAKENING_BUILDERS = {
-    "constant_t": lambda spec: ConstantWeakening(t=float(spec["t"])),
+    "constant_t": lambda spec: ConstantWeakening(t=_real(spec["t"], "t")),
     "explicit": lambda spec: ExplicitWeakening(_explicit_values(spec)),
 }
 

@@ -114,8 +114,10 @@ def test_run_max_steps_that_is_no_count_exits_1(tmp_path, capsys, text, message)
     ("-Infinity", "non-finite number -Infinity in JSON"),
     ("NaN", "non-finite number NaN in JSON"),
     ("-1e400", "non-finite number -1e400 in JSON"),
-    ('"0.5"', "stop_below must be a real number, not NaN, got '0.5'"),
-    ("false", "stop_below must be a real number, not NaN, got False"),
+    ('"0.5"', "stop_below must be a real number, not NaN, got '0.5' "
+              "(a run config's early_exit_threshold)"),
+    ("false", "stop_below must be a real number, not NaN, got False "
+              "(a run config's early_exit_threshold)"),
 ])
 def test_run_threshold_that_is_no_finite_number_exits_1(tmp_path, capsys, text, message):
     path = raw_config(tmp_path, "early_exit_threshold", text)
@@ -137,11 +139,46 @@ def test_run_target_file_with_a_non_finite_constant_exits_1(tmp_path, capsys):
     ({"values": [[1, 1.0]]}, "target spec needs 'inline', 'file' or 'counterexample'"),
     ({"counterexample": {"t": 0.9999999999, "groups": 2}},
      "t=0.9999999999 needs a group parameter k > 10000; give k or a t further from 1"),
-], ids=["no_object", "no_source", "t_near_one"])
+    ({"counterexample": {"t": 0.5, "groups": 2.7}}, "num_groups must be an integer, got 2.7"),
+    ({"counterexample": {"t": 0.5, "groups": True}}, "num_groups must be an integer, got True"),
+    ({"counterexample": {"t": 0.5, "groups": "2"}}, "num_groups must be an integer, got '2'"),
+    ({"counterexample": {"t": 0.5, "groups": 1e300}}, "num_groups must be an integer, got 1e+300"),
+    ({"counterexample": {"t": 0.5, "groups": 2, "k": 1e300}},
+     "group parameter k must be an integer, got 1e+300"),
+    ({"counterexample": {"t": "0.5", "groups": 2}},
+     "weakening parameter must be a real number, got '0.5'"),
+], ids=["no_object", "no_source", "t_near_one", "groups_float", "groups_bool", "groups_str",
+        "groups_huge_float", "k_huge_float", "t_str"])
 def test_run_bad_target_spec_exits_1(tmp_path, capsys, spec, message):
     path, _ = write_config(tmp_path, target=spec)
     assert main(["run", "--config", str(path)]) == 1
     assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"weakening": {"kind": "constant_t", "t": True}}, "t must be a real number, got True"),
+    ({"coefficients": {"kind": "harmonic", "scale": True}}, "scale must be a real number, got True"),
+    ({"coefficients": {"kind": "power", "alpha": "0.75"}},
+     "alpha must be a real number, got '0.75'"),
+    ({"coefficients": {"kind": "explicit", "values": [True, "0.5", 0.25]}},
+     "values[0] must be a real number, got True"),
+    ({"weakening": {"kind": "explicit", "values": [1.0, "0.5"]}},
+     "values[1] must be a real number, got '0.5'"),
+], ids=["constant_t_bool", "harmonic_bool", "power_str", "explicit_bool", "weakening_str"])
+def test_run_sequence_number_that_is_no_number_exits_1(tmp_path, capsys, overrides, message):
+    path, _ = write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+    assert not (tmp_path / "config.json.trace.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_pushforward_whose_matrix_overflows_exits_1_without_a_warning(tmp_path, capsys):
+    dictionary = {"kind": "pushforward", "base": {"kind": "symmetrized_onb"}, "matrix": [[1e200]]}
+    path, _ = write_config(tmp_path, dictionary=dictionary)
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {path}: Q^T Q deviates from identity by inf > 1e-09\n")
 
 
 @pytest.mark.parametrize("key", ["trace", "metadata"])

@@ -2,8 +2,9 @@
 
 The test modules import numpy themselves, so each check runs its code in a
 fresh interpreter and reads sys.modules there. numpy loads only where a dense
-array is built (a materialized head, a pushforward matrix, the coherence
-tools) and the process pool only in sweep.
+array is built (a nonempty head, a pushforward matrix, the coherence tools) and
+the process pool only in sweep: the empty heads of the symmetrized basis and
+of an augmented basis without extra atoms load nothing.
 """
 
 import json
@@ -49,14 +50,16 @@ def test_basis_run_and_counterexample_run_without_numpy(tmp_path):
     out = tmp_path / "ce.csv"
     result = last_json(fresh("""
         import json, sys
-        from greedyexp import ConstantWeakening, Harmonic, SparseVector, cli, make_symmetrized_onb, run
-        trace = run(SparseVector({1: 0.9, 2: -0.4, 3: 0.2}), make_symmetrized_onb(), Harmonic(),
-                    ConstantWeakening(1.0), max_steps=50)
+        from greedyexp import (ConstantWeakening, Harmonic, SparseVector, cli, make_augmented_onb,
+                               make_symmetrized_onb, run)
+        target = SparseVector({1: 0.9, 2: -0.4, 3: 0.2})
+        steps = [len(run(target, d, Harmonic(), ConstantWeakening(1.0), max_steps=50).steps)
+                 for d in (make_symmetrized_onb(), make_augmented_onb([], []))]
         code = cli.main(["counterexample", "--t", "0.5", "--groups", "2", "--out", sys.argv[1]])
-        print(json.dumps([len(trace.steps), code, "numpy" in sys.modules]))
+        print(json.dumps([steps, code, "numpy" in sys.modules]))
     """, str(out)))
     steps, code, numpy_loaded = result
-    assert steps > 0 and code == 0 and not numpy_loaded
+    assert steps[0] > 0 and steps[0] == steps[1] and code == 0 and not numpy_loaded
     assert out.stat().st_size > 0
 
 

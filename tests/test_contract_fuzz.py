@@ -6,8 +6,9 @@ a value replaced, a key or list item deleted, or an unknown key added. Trace
 files start from the bytes of a sound CSV or JSON trace and take byte-level
 edits; ``check`` gets random flags. Generators keep every size small (the
 replacements for ``max_steps``, ``groups`` and ``k`` are small integers or no
-integer at all), so each example runs in milliseconds. The metadata of every
-run that exits 0 must be strict JSON.
+integer at all: bools, numeric strings, 1.9 or 1e300), so each example runs in
+milliseconds. The metadata of every run that exits 0 must be strict JSON, and
+a run config may raise no RuntimeWarning.
 """
 
 import contextlib
@@ -72,7 +73,8 @@ ODD_VALUES = st.recursive(ODD_SCALARS, lambda inner: st.one_of(
     st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(["kind", "t", "x"]), inner,
                                                  max_size=2)), max_leaves=4)
 SMALL_SIZES = st.one_of(st.integers(-2, 6), st.sampled_from(
-    [None, True, False, 0.0, 1.9, -0.5, 2.5, float("nan"), float("inf"), "", "x", "10", *RAW]))
+    [None, True, False, 0.0, 1.9, -0.5, 2.5, 2.0, 1e300, float("nan"), float("inf"), "", "x", "2",
+     "10", *RAW]))
 
 
 def _paths(obj, prefix=()):
@@ -125,6 +127,7 @@ def _assert_contract(code, output):
     assert "Traceback" not in output, output
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @FUZZ
 @given(mutated_configs())
 def test_run_config_mutations_keep_the_exit_code_contract(config):

@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
 from greedyexp.analysis import residual_extrema, verify_greedy_condition
@@ -68,6 +70,28 @@ def test_config_validation():
         CounterexampleConfig(t=0.5, k=2, num_groups=0)
 
 
+@pytest.mark.parametrize("t,k,groups,message", [
+    (0.5, 2, 2.7, "num_groups must be an integer, got 2.7"),
+    (0.5, 2, True, "num_groups must be an integer, got True"),
+    (0.5, 2, "2", "num_groups must be an integer, got '2'"),
+    (0.5, 2, 1e300, "num_groups must be an integer, got 1e+300"),
+    (0.5, 1e300, 2, "group parameter k must be an integer, got 1e+300"),
+    (0.5, 2.0, 2, "group parameter k must be an integer, got 2.0"),
+    (0.5, False, 2, "group parameter k must be an integer, got False"),
+    ("0.5", 2, 2, "weakening parameter must be a real number, got '0.5'"),
+    (True, 2, 2, "weakening parameter must be a real number, got True"),
+])
+def test_config_parameters_must_be_numbers_not_bools(t, k, groups, message):
+    with pytest.raises(ConfigInvalidError, match=f"^{re.escape(message)}$"):
+        CounterexampleConfig(t=t, k=k, num_groups=groups)
+
+
+@pytest.mark.parametrize("t", ["0.5", True, None])
+def test_choose_k_needs_a_real_number(t):
+    with pytest.raises(ConfigInvalidError, match="^weakening parameter must be a real number"):
+        choose_k(t)
+
+
 def test_build_target_first_group():
     cfg = CounterexampleConfig(t=0.5, k=2, num_groups=1)
     assert build_target(cfg) == SparseVector({1: 0.25, 2: 0.25})
@@ -79,6 +103,8 @@ def test_build_target_two_groups():
     assert build_target(cfg) == SparseVector(
         {1: 0.25, 2: 0.25, 3: 0.125, 4: 0.125, 5: 0.125})
     assert [list(r) for r in group_ranges(cfg)] == [[1, 2], [3, 4, 5]]
+    # numpy numbers are numbers too
+    assert build_target(default_config(np.float64(0.5), np.int64(2), np.int32(2))) == build_target(cfg)
 
 
 def test_flip_pass_counts_for_half():

@@ -364,6 +364,16 @@ def test_pushforward_rejects_nan_matrix(matrix):
         pushforward(d, np.array(matrix))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("matrix,deviation", [
+    ([[1e200]], "inf"),
+    ([[math.inf, 0.0], [0.0, 1.0]], "nan"),
+])
+def test_pushforward_rejects_an_overflowing_matrix_without_a_warning(matrix, deviation):
+    with pytest.raises(NotOrthogonalError, match=f"deviates from identity by {deviation} "):
+        pushforward(make_symmetrized_onb(), np.array(matrix))
+
+
 def test_pushforward_isometry_property():
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))

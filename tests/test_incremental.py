@@ -30,7 +30,7 @@ from greedyexp.core import (
 from greedyexp.dictionaries import (
     WITNESS_BAND,
     MaxGreedy,
-    _select,
+    _Headed,
     basis_atom,
     dictionary_from_config,
     direct_sum,
@@ -265,12 +265,13 @@ def tied_vector(base, draws):
 def assert_selects_like_scan(f, start):
     found = scan_select(f, start)
     assert heap_select(f, start) == found
+    tail = _Headed([], start, "a basis tail atom")
     if found is None:
         with pytest.raises(EmptyVectorError):
-            _select(f, (), start)
+            tail.sup_inner(f)
     else:
         top, (rank, i) = found
-        assert _select(f, (), start) == (top, basis_atom(i, 1.0 if rank == 0 else -1.0))
+        assert tail.sup_inner(f) == (top, basis_atom(i, 1.0 if rank == 0 else -1.0))
 
 
 @PROPERTY

@@ -1,7 +1,8 @@
 """The certified screen of materialized heads.
 
-`_select` bounds every head atom's `fsum` score with a matrix-vector product
-and scores exactly only the atoms that can reach the sup or its witness band.
+`_Headed.sup_inner` bounds every head atom's `fsum` score with a
+matrix-vector product and scores exactly only the atoms that can reach the sup
+or its witness band.
 These tests pin that the screened `sup_inner` gives what scoring every head
 atom gives, value bit for bit and witness id alike, on planted near-ties,
 extreme magnitudes and non-finite remainders.
@@ -214,9 +215,9 @@ def test_screen_scores_few_rows():
 
 
 def test_empty_heads_score_the_tail_alone():
-    assert not hasattr(make_symmetrized_onb(), "_dense")
+    assert make_symmetrized_onb()._dense is None
     d = make_augmented_onb([], [])
-    assert d._dense.matrix.shape == (0, 0)
+    assert d._dense is None
     assert_screen_matches_scan(d, SparseVector({3: -0.5, 1: 0.5}))
 
 

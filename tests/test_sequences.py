@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -137,12 +138,43 @@ def test_coefficients_from_config():
     assert coefficients_from_config({"kind": "harmonic"}).eval(2) == 0.5
     assert coefficients_from_config({"kind": "power", "alpha": 0.6}).eval(32) == pytest.approx(0.125)
     assert coefficients_from_config({"kind": "explicit", "values": [1.0, 0.5]}).eval(2) == 0.5
+    # an int is a real number, stored as a float
+    assert coefficients_from_config({"kind": "harmonic", "scale": 2}) == Harmonic(2.0)
+    assert type(coefficients_from_config({"kind": "power", "alpha": 1}).alpha) is float
+    assert coefficients_from_config({"kind": "explicit", "values": [1, 0.5]}).values == [1.0, 0.5]
     with pytest.raises(ConfigInvalidError):
         coefficients_from_config({"kind": "fibonacci"})
     with pytest.raises(ConfigInvalidError):
         coefficients_from_config({"kind": "power"})
     with pytest.raises(ConfigInvalidError):
         coefficients_from_config({})
+
+
+@pytest.mark.parametrize("parse,spec,message", [
+    (weakening_from_config, {"kind": "constant_t", "t": True}, "t must be a real number, got True"),
+    (coefficients_from_config, {"kind": "harmonic", "scale": True},
+     "scale must be a real number, got True"),
+    (coefficients_from_config, {"kind": "harmonic", "scale": "2"},
+     "scale must be a real number, got '2'"),
+    (coefficients_from_config, {"kind": "power", "alpha": "0.75"},
+     "alpha must be a real number, got '0.75'"),
+    (coefficients_from_config, {"kind": "power", "alpha": 0.75, "scale": False},
+     "scale must be a real number, got False"),
+    (coefficients_from_config, {"kind": "explicit", "values": [True, "0.5", 0.25]},
+     "values[0] must be a real number, got True"),
+    (coefficients_from_config, {"kind": "explicit", "values": [0.5, "0.5"]},
+     "values[1] must be a real number, got '0.5'"),
+    (weakening_from_config, {"kind": "explicit", "values": [1.0, None]},
+     "values[1] must be a real number, got None"),
+    (coefficients_from_config, {"kind": "harmonic", "scale": 10 ** 400},
+     "scale is an integer too large for a float"),
+    (weakening_from_config, {"kind": "explicit", "values": [10 ** 400]},
+     "values[0] is an integer too large for a float"),
+], ids=["constant_t_bool", "harmonic_bool", "harmonic_str", "power_str", "power_scale_bool",
+        "explicit_bool", "explicit_str", "explicit_none", "harmonic_huge_int", "explicit_huge_int"])
+def test_spec_numbers_are_real_numbers_not_bools_or_strings(parse, spec, message):
+    with pytest.raises(ConfigInvalidError, match=f"^{re.escape(message)}$"):
+        parse(spec)
 
 
 def test_explicit_from_csv(tmp_path):
@@ -155,6 +187,7 @@ def test_explicit_from_csv(tmp_path):
 def test_weakening_from_config():
     assert weakening_from_config({"kind": "constant_t", "t": 0.7}).eval(9) == 0.7
     assert weakening_from_config({"kind": "explicit", "values": [1.0, 0.5]}).eval(2) == 0.5
+    assert type(weakening_from_config({"kind": "constant_t", "t": 1}).eval(1)) is float
     with pytest.raises(ConfigInvalidError):
         weakening_from_config({"kind": "constant_t", "t": 0.0})
     with pytest.raises(ConfigInvalidError):
