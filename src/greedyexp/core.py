@@ -62,7 +62,7 @@ import heapq
 import math
 from typing import Iterable, Iterator, Tuple, Union
 
-from .errors import ConfigInvalidError, GreedyExpansionError
+from .errors import ConfigInvalidError, GreedyExpansionError, to_float
 
 Index = Union[int, Tuple[int, int]]
 
@@ -170,8 +170,8 @@ class SparseVector:
 
 def _clean(pairs) -> dict:
     """The entry dict of (index, value) pairs: each index validated once (a
-    list read as a tuple, a repeat a ValueError), each value a float, exact
-    zeros dropped."""
+    list read as a tuple, a repeat a ValueError), each value a float by
+    errors.to_float, exact zeros dropped."""
     entries = {}
     for index, value in pairs:
         if isinstance(index, list):
@@ -179,7 +179,7 @@ def _clean(pairs) -> dict:
         validate_index(index)
         if index in entries:
             raise ValueError(f"duplicate coordinate index {index!r}")
-        entries[index] = float(value)
+        entries[index] = value if type(value) is float else to_float(value, f"entry {index!r}")
     return {i: x for i, x in entries.items() if x != 0.0}
 
 

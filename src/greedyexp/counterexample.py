@@ -37,7 +37,7 @@ from typing import Optional
 from .core import SparseVector
 from .dictionaries import Scripted, SymmetrizedOnb
 from .engine import Trace, run
-from .errors import ConfigInvalidError, PlanConstructionError, is_number
+from .errors import ConfigInvalidError, PlanConstructionError, is_number, to_float
 from .sequences import ConstantWeakening, Explicit
 
 _TUNE_ULPS = 8
@@ -57,7 +57,8 @@ def _check_t(t):
 
 @dataclass(frozen=True)
 class CounterexampleConfig:
-    """t a real number in (0, 1); k and num_groups integers, not bools."""
+    """t a real number in (0, 1); k and num_groups integers, not bools, that
+    a float can hold."""
 
     t: float
     k: int
@@ -68,6 +69,7 @@ class CounterexampleConfig:
         for name, value in (("group parameter k", self.k), ("num_groups", self.num_groups)):
             if not is_number(value, numbers.Integral):
                 raise ConfigInvalidError(f"{name} must be an integer, got {value!r}")
+            to_float(value, name)
         if self.k <= 1:
             raise ConfigInvalidError(f"group parameter k must exceed 1, got {self.k}")
         if not self.t ** self.k < 1.0 / math.sqrt(self.k):

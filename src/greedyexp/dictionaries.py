@@ -499,7 +499,7 @@ class PushforwardDictionary(_Headed):
     def __init__(self, base: Dictionary, matrix: np.ndarray):
         try:
             matrix = _numpy().asarray(matrix, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise NotOrthogonalError(f"matrix must be a square array of reals: {exc}") from exc
         _check_orthogonal(matrix)
         if not isinstance(base, _Headed):
@@ -566,8 +566,10 @@ class Scripted:
 
     def choose(self, step: int, dictionary: Dictionary, f: SparseVector,
                t: float, sup: float, witness: Optional[Atom]) -> Atom:
-        if step > len(self.plan):
-            raise IndexPastEndError(f"selection plan exhausted at step {step}")
+        if not 0 < step <= len(self.plan):
+            if step > 0:
+                raise IndexPastEndError(f"selection plan exhausted at step {step}")
+            raise ConfigInvalidError(f"selection plan step must be >= 1, got {step}")
         aid = self.plan[step - 1]
         # (dictionary, atoms) in one slot: runs in two threads never mix them
         memo = self._memo

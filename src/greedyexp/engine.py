@@ -34,6 +34,7 @@ from .errors import (
     PreconditionUnmetError,
     UnknownAtomError,
     is_number,
+    to_float,
 )
 
 
@@ -101,13 +102,17 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
     the run as Aborted, as does a step whose residual norm is not finite or
     overflows; that step is not recorded. A target whose norm is not finite or
     overflows raises ConfigInvalidError, as do a max_steps that is a bool, no
-    integer or negative and a stop_below that is a bool, no real number or NaN.
+    integer or negative and a stop_below that is a bool, no real number or NaN,
+    and either one an integer too large for a float.
     """
     if not is_number(max_steps, numbers.Integral) or max_steps < 0:
         raise ConfigInvalidError(f"max_steps must be an integer >= 0, got {max_steps!r}")
-    if not (stop_below is None or is_number(stop_below) and not math.isnan(stop_below)):
-        raise ConfigInvalidError(f"stop_below must be a real number, not NaN, got {stop_below!r} "
-                                 "(a run config's early_exit_threshold)")
+    to_float(max_steps, "max_steps")
+    where = "(a run config's early_exit_threshold)"
+    if stop_below is not None and not (
+            is_number(stop_below) and not math.isnan(to_float(stop_below, f"stop_below {where}"))):
+        raise ConfigInvalidError(
+            f"stop_below must be a real number, not NaN, got {stop_below!r} {where}")
     policy = policy if policy is not None else MaxGreedy()
     # a policy that never reads the witness spares a dictionary that can give
     # the sup alone the search for it; any other pair passes the vector alone
@@ -167,12 +172,22 @@ def reconstruct(trace: Trace) -> SparseVector:
 
 
 # one trace row exactly as csv.writer writes it: no field of a step record
-# ever needs quoting, and every float goes out with 17 significant digits
-_CSV_ROW = "%d,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%s\r\n"
+# ever needs quoting, and every float goes out with 17 significant digits,
+# c, t, ip and sup as the "%.17g" texts write_trace_csv passes in
+_CSV_ROW = "%d,%s,%s,%s,%s,%s,%.17g,%s\r\n"
 
 
 def write_trace_csv(trace: Trace, path: str):
+    """Write the trace as CSV_HEADER and one _CSV_ROW per step.
+
+    A schedule plays one coefficient over several rows and keeps t on all of
+    them, and a MaxGreedy step has sup == ip, so c, t, ip and sup reuse the
+    text of an equal value in the row above (sup also that of its own row's
+    ip) instead of formatting it again. Equal nonzero numbers format alike;
+    zero is always formatted, since 0.0 == -0.0 and their texts differ, and
+    NaN equals nothing."""
     names = {}
+    c0 = t0 = ip0 = sup0 = None
     with open(path, "w", newline="") as fh:
         write = fh.write
         write(",".join(CSV_HEADER) + "\r\n")
@@ -181,7 +196,16 @@ def write_trace_csv(trace: Trace, path: str):
             name = names.get(aid)
             if name is None:
                 name = names[aid] = atom_id_str(aid)
-            write(_CSV_ROW % (r.m, name, r.c, r.t, r.ip, r.sup, r.residual_norm,
+            c, t, ip, sup = r.c, r.t, r.ip, r.sup
+            if c != c0 or not c:
+                c0, c_text = c, "%.17g" % c
+            if t != t0 or not t:
+                t0, t_text = t, "%.17g" % t
+            if ip != ip0 or not ip:
+                ip0, ip_text = ip, "%.17g" % ip
+            if sup != sup0 or not sup:
+                sup0, sup_text = sup, ip_text if sup == ip and sup else "%.17g" % sup
+            write(_CSV_ROW % (r.m, name, c_text, t_text, ip_text, sup_text, r.residual_norm,
                               "" if r.block is None else r.block))
 
 
@@ -190,10 +214,15 @@ def _decode_steps(rows, where) -> list:
     set of rules for CSV rows and JSON steps. Atoms come back with their ids
     and one shared empty vector per id; an empty row is skipped. A row without
     exactly one field per column, or with a field that does not parse, raises
-    GreedyExpansionError led by where(n), n the number of steps decoded."""
+    GreedyExpansionError led by where(n), n the number of steps decoded.
+
+    A c, t, ip or sup whose text is the one in the row above takes that row's
+    float, and a sup whose text is its own row's ip takes the ip's float: the
+    floats float(text) would give again."""
     empty = SparseVector()
     atoms = {}
     steps = []
+    c0 = t0 = ip0 = sup0 = None
     try:
         for row in rows:
             if len(row) != len(CSV_HEADER):
@@ -204,7 +233,16 @@ def _decode_steps(rows, where) -> list:
             atom = atoms.get(text)
             if atom is None:
                 atom = atoms[text] = Atom(parse_atom_id(text), empty)
-            steps.append(StepRecord(int(m), atom, float(c), float(t), float(ip), float(sup),
+            m = int(m)
+            if c != c0:
+                c0, c_value = c, float(c)
+            if t != t0:
+                t0, t_value = t, float(t)
+            if ip != ip0:
+                ip0, ip_value = ip, float(ip)
+            if sup != sup0:
+                sup0, sup_value = sup, ip_value if sup == ip else float(sup)
+            steps.append(StepRecord(m, atom, c_value, t_value, ip_value, sup_value,
                                     float(residual_norm), int(block) if block else None))
     except (GreedyExpansionError, TypeError, ValueError, csv.Error) as exc:
         raise GreedyExpansionError(f"{where(len(steps))}: {exc}") from exc

@@ -53,9 +53,20 @@ def is_number(value, kind=numbers.Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def to_float(value, name: str) -> float:
+    """float(value) for a number by is_number. An integer too large for a
+    float (401 digits, say), which float() and the math module refuse with
+    OverflowError, raises ConfigInvalidError naming it instead."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigInvalidError(f"{name} is an integer too large for a float") from exc
+
+
 def parse_tagged(spec, builders: dict, section: str):
     """Call the builder that spec's 'kind' tag names with the whole spec; raw
-    KeyError, TypeError and ValueError from it come back as ConfigInvalidError."""
+    KeyError, TypeError, ValueError and OverflowError from it come back as
+    ConfigInvalidError."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigInvalidError(f"{section} spec must be an object with a 'kind' tag")
     kind = spec["kind"]
@@ -66,5 +77,5 @@ def parse_tagged(spec, builders: dict, section: str):
         return builder(spec)
     except KeyError as exc:
         raise ConfigInvalidError(f"{section} spec for kind={kind!r} is missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalidError(f"bad {section} spec: {exc}") from exc

@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import ConfigInvalidError, IndexPastEndError, is_number, parse_tagged
+from .errors import ConfigInvalidError, IndexPastEndError, is_number, parse_tagged, to_float
 
 HEURISTIC_NOTE = (
     "divergence/vanishing flags are doubling-checkpoint heuristics over a finite "
@@ -173,10 +173,7 @@ def _real(value, name: str) -> float:
     """A config's number as a float: an int or a float, not a bool or a string."""
     if not is_number(value):
         raise ConfigInvalidError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise ConfigInvalidError(f"{name} is an integer too large for a float") from exc
+    return to_float(value, name)
 
 
 def _explicit_values(spec: dict) -> list:

@@ -101,6 +101,7 @@ def raw_config(tmp_path, key, text):
     ("1e5", "max_steps must be an integer >= 0, got 100000.0"),
     ("10.0", "max_steps must be an integer >= 0, got 10.0"),
     ("-1", "max_steps must be an integer >= 0, got -1"),
+    ("1" + "0" * 400, "max_steps is an integer too large for a float"),
 ])
 def test_run_max_steps_that_is_no_count_exits_1(tmp_path, capsys, text, message):
     path = raw_config(tmp_path, "max_steps", text)
@@ -118,6 +119,8 @@ def test_run_max_steps_that_is_no_count_exits_1(tmp_path, capsys, text, message)
               "(a run config's early_exit_threshold)"),
     ("false", "stop_below must be a real number, not NaN, got False "
               "(a run config's early_exit_threshold)"),
+    ("1" + "0" * 400, "stop_below (a run config's early_exit_threshold) is an integer too "
+                      "large for a float"),
 ])
 def test_run_threshold_that_is_no_finite_number_exits_1(tmp_path, capsys, text, message):
     path = raw_config(tmp_path, "early_exit_threshold", text)
@@ -147,8 +150,14 @@ def test_run_target_file_with_a_non_finite_constant_exits_1(tmp_path, capsys):
      "group parameter k must be an integer, got 1e+300"),
     ({"counterexample": {"t": "0.5", "groups": 2}},
      "weakening parameter must be a real number, got '0.5'"),
+    ({"counterexample": {"t": 0.5, "groups": 1, "k": 10 ** 400}},
+     "group parameter k is an integer too large for a float"),
+    ({"counterexample": {"t": 0.5, "groups": 10 ** 400}},
+     "num_groups is an integer too large for a float"),
+    ({"inline": [[1, 0.5], [2, 10 ** 400]]}, "entry 2 is an integer too large for a float"),
 ], ids=["no_object", "no_source", "t_near_one", "groups_float", "groups_bool", "groups_str",
-        "groups_huge_float", "k_huge_float", "t_str"])
+        "groups_huge_float", "k_huge_float", "t_str", "k_huge_int", "groups_huge_int",
+        "inline_huge_int"])
 def test_run_bad_target_spec_exits_1(tmp_path, capsys, spec, message):
     path, _ = write_config(tmp_path, target=spec)
     assert main(["run", "--config", str(path)]) == 1

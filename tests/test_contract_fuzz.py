@@ -6,8 +6,8 @@ a value replaced, a key or list item deleted, or an unknown key added. Trace
 files start from the bytes of a sound CSV or JSON trace and take byte-level
 edits; ``check`` gets random flags. Generators keep every size small (the
 replacements for ``max_steps``, ``groups`` and ``k`` are small integers or no
-integer at all: bools, numeric strings, 1.9 or 1e300), so each example runs in
-milliseconds. The metadata of every run that exits 0 must be strict JSON, and
+integer at all: bools, numeric strings, 1.9 or 1e300, or one too large for a
+float), so each example runs in milliseconds. The metadata of every run that exits 0 must be strict JSON, and
 a run config may raise no RuntimeWarning.
 """
 
@@ -63,18 +63,20 @@ SIZE_KEYS = {"max_steps", "groups", "k"}
 # a string replacement that is written into the JSON text as this literal,
 # which json.dumps cannot produce from a float
 RAW = {"<1e400>": "1e400", "<-1e400>": "-1e400", "<1e-400>": "1e-400"}
+# an integer literal of 401 digits: a JSON int, which float() cannot hold
+BIG_INT = 10 ** 400
 ODD_SCALARS = st.one_of(
     st.sampled_from([None, True, False, 0, 1, -1, 2, 0.0, -0.0, 0.5, 1.9, -0.5, 1e308,
                      5e-324, float("nan"), float("inf"), float("-inf"), 2 ** 63, -2 ** 63,
-                     "", "x", "10", "+e1", "b1:+e1", "y0", "nan", *RAW]),
+                     BIG_INT, "", "x", "10", "+e1", "b1:+e1", "y0", "nan", *RAW]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
 ODD_VALUES = st.recursive(ODD_SCALARS, lambda inner: st.one_of(
     st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(["kind", "t", "x"]), inner,
                                                  max_size=2)), max_leaves=4)
 SMALL_SIZES = st.one_of(st.integers(-2, 6), st.sampled_from(
-    [None, True, False, 0.0, 1.9, -0.5, 2.5, 2.0, 1e300, float("nan"), float("inf"), "", "x", "2",
-     "10", *RAW]))
+    [None, True, False, 0.0, 1.9, -0.5, 2.5, 2.0, 1e300, BIG_INT, float("nan"), float("inf"), "",
+     "x", "2", "10", *RAW]))
 
 
 def _paths(obj, prefix=()):
@@ -127,10 +129,9 @@ def _assert_contract(code, output):
     assert "Traceback" not in output, output
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@FUZZ
-@given(mutated_configs())
-def test_run_config_mutations_keep_the_exit_code_contract(config):
+def _run_config(config):
+    """cli.main's run on config, written as JSON into a temporary directory; the
+    exit code contract must hold and a run that exits 0 writes strict JSON."""
     with tempfile.TemporaryDirectory() as tmp:
         meta = os.path.join(tmp, "meta.json")
         config["outputs"] = {"trace": os.path.join(tmp, "trace.csv"), "metadata": meta}
@@ -145,6 +146,25 @@ def test_run_config_mutations_keep_the_exit_code_contract(config):
         if code == 0:
             with open(meta) as fh:
                 json.loads(fh.read(), parse_constant=_strict)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@FUZZ
+@given(mutated_configs())
+def test_run_config_mutations_keep_the_exit_code_contract(config):
+    _run_config(config)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n,path", [(n, path) for n, base in enumerate(BASE_CONFIGS)
+                                    for path in _paths(base)])
+def test_an_integer_too_large_for_a_float_anywhere_keeps_the_exit_code_contract(n, path):
+    # one by one, every value of every base config becomes BIG_INT: a size, a
+    # threshold or a parameter may then neither raise OverflowError nor run
+    # without end
+    config = copy.deepcopy(BASE_CONFIGS[n])
+    _parent(config, path)[path[-1]] = BIG_INT
+    _run_config(config)
 
 
 def test_base_configs_run_and_write_strict_metadata(tmp_path):

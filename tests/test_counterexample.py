@@ -80,6 +80,8 @@ def test_config_validation():
     (0.5, False, 2, "group parameter k must be an integer, got False"),
     ("0.5", 2, 2, "weakening parameter must be a real number, got '0.5'"),
     (True, 2, 2, "weakening parameter must be a real number, got True"),
+    (0.5, 10 ** 400, 1, "group parameter k is an integer too large for a float"),
+    (0.5, 2, 10 ** 400, "num_groups is an integer too large for a float"),
 ])
 def test_config_parameters_must_be_numbers_not_bools(t, k, groups, message):
     with pytest.raises(ConfigInvalidError, match=f"^{re.escape(message)}$"):

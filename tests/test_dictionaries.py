@@ -26,6 +26,7 @@ from greedyexp.engine import run
 from greedyexp.errors import (
     ConfigInvalidError,
     EmptyVectorError,
+    IndexPastEndError,
     NoAdmissibleAtomError,
     NotOrthogonalError,
     SupportOutsideEPrimeError,
@@ -223,6 +224,16 @@ def test_scripted_inadmissible_raises():
 def test_scripted_unknown_atom():
     with pytest.raises(UnknownAtomError):
         choose(make_finite([dense([1, 0])]), dense([1, 0]), 1.0, Scripted(["y5"]))
+
+
+@pytest.mark.parametrize("step", [0, -1])
+def test_scripted_step_below_one_raises(step):
+    # plan[step - 1] would play the last ids of the plan
+    d, f = make_symmetrized_onb(), sv((1, 0.5), (2, 0.5))
+    with pytest.raises(ConfigInvalidError, match=f"^selection plan step must be >= 1, got {step}$"):
+        Scripted(["+e1", "+e2"]).choose(step, d, f, 1.0, *d.sup_inner(f))
+    with pytest.raises(IndexPastEndError, match="^selection plan exhausted at step 3$"):
+        Scripted(["+e1", "+e2"]).choose(3, d, f, 1.0, *d.sup_inner(f))
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +466,8 @@ def test_pushforward_rejects_direct_sum_base():
                                          "components": [{"kind": "symmetrized_onb"}]}})
 
 
-@pytest.mark.parametrize("matrix", [[[1.0], [1.0, 2.0]], [["a"]], "ab", [[1j]]],
-                         ids=["ragged", "string_entry", "string", "complex"])
+@pytest.mark.parametrize("matrix", [[[1.0], [1.0, 2.0]], [["a"]], "ab", [[1j]], [[10 ** 400]]],
+                         ids=["ragged", "string_entry", "string", "complex", "huge_int"])
 def test_pushforward_rejects_a_matrix_that_is_no_real_array(matrix):
     with pytest.raises(NotOrthogonalError, match="matrix must be a square array of reals"):
         pushforward(make_symmetrized_onb(), matrix)

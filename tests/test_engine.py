@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,16 @@ def test_run_takes_numpy_numbers_for_its_budget():
 def test_run_rejects_nan_stop_below():
     with pytest.raises(ConfigInvalidError, match="NaN"):
         run(dense([1]), ONB, Harmonic(), T1, max_steps=5, stop_below=math.nan)
+
+
+@pytest.mark.parametrize("options,message", [
+    ({"max_steps": 10 ** 400}, "max_steps is an integer too large for a float"),
+    ({"stop_below": 10 ** 400},
+     "stop_below (a run config's early_exit_threshold) is an integer too large for a float"),
+])
+def test_run_rejects_an_integer_too_large_for_a_float(options, message):
+    with pytest.raises(ConfigInvalidError, match=f"^{re.escape(message)}$"):
+        run(dense([1]), ONB, Harmonic(), T1, **dict({"max_steps": 5}, **options))
 
 
 def test_determinism_bit_identical_csv(tmp_path):
