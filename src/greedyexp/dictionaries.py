@@ -29,7 +29,8 @@ Atom ids are plain tuples whose natural tuple order is the canonical order:
     ("y", k)                 k-th materialized dense atom (negations interleaved)
     ("b", block, inner_id)   component atom lifted into a direct sum
 
-String form: "+e12", "-e3", "y4", "b2:+e1".
+String form: "+e12", "-e3", "y4", "b2:+e1". Indices and blocks count from 1,
+and a direct sum lifts only basis and dense ids: sums do not nest.
 """
 
 from __future__ import annotations
@@ -111,23 +112,22 @@ def atom_id_str(aid: AtomId) -> str:
     raise ValueError(f"unknown atom id {aid!r}")
 
 
-# the string forms atom_id_str writes, and no other: numbers in ASCII digits
-# without leading zeros. It is matched with fullmatch, since "$" also matches
-# before a final newline
-_ATOM_ID_RE = re.compile(r"b(0|[1-9][0-9]*):(.+)|([+-])e(0|[1-9][0-9]*)|y(0|[1-9][0-9]*)")
+# the string forms atom_id_str writes for the ids _well_formed accepts, and no
+# other: one optional block prefix over a basis or dense id, numbers in ASCII
+# digits without leading zeros, blocks and basis indices from 1. It is matched
+# with fullmatch, since "$" also matches before a final newline
+_ATOM_ID_RE = re.compile(r"(?:b([1-9][0-9]*):)?(?:([+-])e([1-9][0-9]*)|y(0|[1-9][0-9]*))")
 
 
 def parse_atom_id(text: str) -> AtomId:
-    """The atom id whose atom_id_str is text; raises ValueError for any other text."""
+    """The well-formed atom id whose atom_id_str is text; raises ValueError for
+    any other text."""
     m = _ATOM_ID_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"cannot parse atom id {text!r}")
-    block, inner_text, sign, index, k = m.groups()
-    if block is not None:
-        return ("b", int(block), parse_atom_id(inner_text))
-    if sign is not None:
-        return ("e", 0 if sign == "+" else 1, int(index))
-    return ("y", int(k))
+    block, sign, index, k = m.groups()
+    aid = ("y", int(k)) if sign is None else ("e", 0 if sign == "+" else 1, int(index))
+    return aid if block is None else ("b", int(block), aid)
 
 
 def basis_atom(index: int, sign: float) -> Atom:
@@ -231,17 +231,19 @@ class _DenseHead:
 
 
 def _well_formed(aid) -> bool:
-    """Does aid have the shape of a basis, dense or direct-sum atom id? Its
-    numbers must be plain ints: a bool is not an index."""
+    """Does aid have the shape of a basis or dense atom id, or of one lifted
+    into a direct sum (one level: sums do not nest)? Its numbers must be plain
+    ints: a bool is not an index."""
+    if isinstance(aid, tuple) and len(aid) == 3 and aid[0] == "b":
+        if not (type(aid[1]) is int and aid[1] >= 1):
+            return False
+        aid = aid[2]
     if not isinstance(aid, tuple) or not aid:
         return False
     if aid[0] == "e":
         return (len(aid) == 3 and type(aid[1]) is int and aid[1] in (0, 1)
                 and type(aid[2]) is int and aid[2] >= 1)
-    if aid[0] == "y":
-        return len(aid) == 2 and type(aid[1]) is int and aid[1] >= 0
-    return (aid[0] == "b" and len(aid) == 3 and type(aid[1]) is int and aid[1] >= 1
-            and _well_formed(aid[2]))
+    return aid[0] == "y" and len(aid) == 2 and type(aid[1]) is int and aid[1] >= 0
 
 
 def _unknown(aid, what: str) -> UnknownAtomError:
@@ -268,17 +270,19 @@ class Dictionary(ABC):
     @abstractmethod
     def realize(self, aid: AtomId) -> Atom:
         """Resolve an atom id to its Atom; raises UnknownAtomError. Equal ids
-        must give equal atoms every time: Scripted keeps the first one."""
+        must give equal atoms every time; Scripted calls this at every step
+        it plays, so a dictionary that builds its atoms may keep them."""
 
 
 class _Headed(Dictionary):
     """A materialized head plus, unless tail_start is None, the untouched
     signed basis on indices >= tail_start: every dictionary but a direct sum.
-    what names the dictionary in an UnknownAtomError."""
+    what names the dictionary in an UnknownAtomError. _atoms holds the head
+    atoms and each basis-tail atom realize has built, by id."""
 
     def __init__(self, head: list, tail_start: Optional[int], what: str):
         self.head, self.tail_start, self._what = head, tail_start, what
-        self._head_by_id = {a.id: a for a in head}
+        self._atoms = {a.id: a for a in head}
         # an empty head has no dense form, so numpy stays unloaded
         self._dense = _DenseHead(head) if head else None
 
@@ -316,13 +320,20 @@ class _Headed(Dictionary):
         return _best(candidates)
 
     def realize(self, aid: AtomId) -> Atom:
+        """The head atom or basis-tail atom with id aid. A tail atom is built
+        at its first call and kept (two threads may both build one; the atoms
+        are equal). Only a well-formed id is looked up or kept, since an
+        ill-formed one can equal and hash like a well-formed one
+        (("e", 0, True) == ("e", 0, 1)) it must not stand in for."""
         if _well_formed(aid):
-            atom = self._head_by_id.get(aid)
+            atom = self._atoms.get(aid)
             if atom is not None:
                 return atom
             if aid[0] == "e" and self.tail_start is not None and aid[2] >= self.tail_start:
                 # a well-formed basis id holds a valid index
-                return Atom(aid, SparseVector._trusted({aid[2]: -1.0 if aid[1] else 1.0}))
+                atom = self._atoms[aid] = Atom(aid, SparseVector._trusted(
+                    {aid[2]: -1.0 if aid[1] else 1.0}))
+                return atom
         raise _unknown(aid, self._what)
 
 
@@ -550,19 +561,15 @@ class Scripted:
     never reads its witness argument, so on a dictionary that can skip it the
     engine asks for the sup alone and hands choose None as the witness.
 
-    Realized atoms are memoized per dictionary: each well-formed plan id is
-    realized once, at the first step that plays it, and the memo starts over
-    when choose is handed another dictionary object. A failed realization is
-    not kept, so an unknown id aborts at every step that plays it. An id that
-    is not well formed (a bool or float index, a list) is realized every time:
-    it may be unhashable, and it may equal a well-formed id (True == 1) that
-    it must not stand in for."""
+    choose realizes its plan id on the dictionary at every step and keeps
+    nothing but the plan: a head-plus-tail dictionary keeps the atoms it
+    builds, so a replay builds each once, and an id the dictionary cannot
+    realize aborts the run at every step that plays it."""
 
     needs_witness = False
 
     def __init__(self, plan: Sequence):
         self.plan = [a if isinstance(a, tuple) else parse_atom_id(a) for a in plan]
-        self._memo = (None, {})
 
     def choose(self, step: int, dictionary: Dictionary, f: SparseVector,
                t: float, sup: float, witness: Optional[Atom]) -> Atom:
@@ -570,17 +577,7 @@ class Scripted:
             if step > 0:
                 raise IndexPastEndError(f"selection plan exhausted at step {step}")
             raise ConfigInvalidError(f"selection plan step must be >= 1, got {step}")
-        aid = self.plan[step - 1]
-        # (dictionary, atoms) in one slot: runs in two threads never mix them
-        memo = self._memo
-        if memo[0] is not dictionary:
-            memo = self._memo = (dictionary, {})
-        if _well_formed(aid):
-            atom = memo[1].get(aid)
-            if atom is None:
-                atom = memo[1][aid] = dictionary.realize(aid)
-        else:
-            atom = dictionary.realize(aid)
+        atom = dictionary.realize(self.plan[step - 1])
         ip = inner(f, atom.vector)
         if ip < t * sup - ADMISSIBILITY_SLACK:
             raise NoAdmissibleAtomError(
@@ -647,9 +644,10 @@ _DICTIONARY_BUILDERS = {
         [SparseVector.from_json(a) for a in spec.get("extra", [])], spec.get("e_prime", [])),
     "direct_sum": lambda spec: direct_sum([dictionary_from_config(c) for c in spec["components"]]),
     # a matrix that is no real array is a bad spec here, before pushforward
-    # would call it not orthogonal
-    "pushforward": lambda spec: pushforward(dictionary_from_config(spec["base"]),
-                                            _numpy().asarray(spec["matrix"], dtype=float)),
+    # would call it not orthogonal. It is read before the base, so numpy loads
+    # at the top of a chain of pushforwards and never half-way at its depth
+    "pushforward": lambda spec: pushforward(matrix=_numpy().asarray(spec["matrix"], dtype=float),
+                                            base=dictionary_from_config(spec["base"])),
 }
 
 

@@ -66,7 +66,8 @@ def to_float(value, name: str) -> float:
 def parse_tagged(spec, builders: dict, section: str):
     """Call the builder that spec's 'kind' tag names with the whole spec; raw
     KeyError, TypeError, ValueError and OverflowError from it come back as
-    ConfigInvalidError."""
+    ConfigInvalidError, and so does the RecursionError of a spec whose
+    builders nest too deeply (a pushforward of a pushforward of ...)."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigInvalidError(f"{section} spec must be an object with a 'kind' tag")
     kind = spec["kind"]
@@ -79,3 +80,5 @@ def parse_tagged(spec, builders: dict, section: str):
         raise ConfigInvalidError(f"{section} spec for kind={kind!r} is missing {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalidError(f"bad {section} spec: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigInvalidError(f"{section} spec nested too deeply") from exc

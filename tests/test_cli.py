@@ -190,6 +190,32 @@ def test_run_pushforward_whose_matrix_overflows_exits_1_without_a_warning(tmp_pa
         "", f"error: {path}: Q^T Q deviates from identity by inf > 1e-09\n")
 
 
+def nested(kind, depth):
+    """A dictionary spec that wraps the symmetrized basis depth times in kind."""
+    spec = {"kind": "symmetrized_onb"}
+    for _ in range(depth):
+        spec = ({"kind": "pushforward", "base": spec, "matrix": [[1.0]]} if kind == "pushforward"
+                else {"kind": "direct_sum", "components": [spec]})
+    return spec
+
+
+@pytest.mark.parametrize("kind, depth", [("pushforward", 500), ("direct_sum", 400)])
+def test_run_on_a_dictionary_spec_nested_too_deeply_exits_1(tmp_path, capsys, kind, depth):
+    path, _ = write_config(tmp_path, dictionary=nested(kind, depth))
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: dictionary spec nested too deeply\n")
+
+
+DEEP_ID = "b1:" * 3000 + "+e1"
+
+
+def test_run_with_a_deeply_blocked_plan_id_exits_1(tmp_path, capsys):
+    path, _ = write_config(tmp_path, policy={"kind": "scripted", "atoms": [DEEP_ID]})
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {path}: bad policy spec: cannot parse atom id {DEEP_ID!r}\n")
+
+
 @pytest.mark.parametrize("key", ["trace", "metadata"])
 def test_run_unwritable_output_exits_1(tmp_path, capsys, key):
     outputs = {"trace": str(tmp_path / "t.csv"), "metadata": str(tmp_path / "m.json")}
@@ -325,6 +351,21 @@ def test_check_header_only_trace_exits_1(tmp_path, capsys):
     bad.write_text(",".join(engine.CSV_HEADER) + "\r\n")
     assert main(["check", "--trace", str(bad)]) == 1
     assert capsys.readouterr() == ("", f"error: trace {bad} has no steps\n")
+
+
+@pytest.mark.parametrize("atom", ["+e0", "b0:+e1", "b1:b2:+e1", DEEP_ID], ids=lambda a: a[:12])
+def test_check_trace_with_an_id_no_dictionary_has_exits_1(tmp_path, capsys, atom):
+    path = str(tmp_path / "ce.csv")
+    assert main(["counterexample", "--t", "0.5", "--groups", "2", "--out", path]) == 0
+    capsys.readouterr()
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[2][engine.CSV_HEADER.index("atom")] = atom
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["check", "--trace", path]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot read trace {path}: line 3: cannot parse atom id {atom!r}\n")
 
 
 def test_check_unreadable_trace_exits_1(tmp_path):

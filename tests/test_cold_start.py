@@ -102,3 +102,30 @@ def test_dictionary_pickled_here_answers_in_a_fresh_process():
         print(json.dumps([value, atom_id_str(atom.id)]))
     """, pickle.dumps(dictionary).hex()))
     assert answer == [value, atom_id_str(atom.id)]
+
+
+def test_deep_pushforward_chains_load_numpy_at_their_top():
+    # a chain of pushforwards reads its matrix before its base, so numpy
+    # loads at the top of the chain: a chain close to the recursion limit
+    # builds, and one past it raises ConfigInvalidError and leaves numpy whole
+    result = last_json(fresh("""
+        import json
+        from greedyexp import SparseVector, dictionary_from_config, make_finite
+        from greedyexp.errors import ConfigInvalidError
+
+        def chain(depth):
+            spec = {"kind": "symmetrized_onb"}
+            for _ in range(depth):
+                spec = {"kind": "pushforward", "base": spec, "matrix": [[1.0]]}
+            return spec
+
+        value, atom = dictionary_from_config(chain(300)).sup_inner(SparseVector({2: -3.0}))
+        try:
+            dictionary_from_config(chain(500))
+            deep = None
+        except ConfigInvalidError as exc:
+            deep = str(exc)
+        finite = make_finite([SparseVector({1: 1.0})]).sup_inner(SparseVector({1: 2.0}))[0]
+        print(json.dumps([value, atom.id[1:], deep, finite]))
+    """))
+    assert result == [3.0, [1, 2], "dictionary spec nested too deeply", 2.0]

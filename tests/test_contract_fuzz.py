@@ -167,6 +167,20 @@ def test_an_integer_too_large_for_a_float_anywhere_keeps_the_exit_code_contract(
     _run_config(config)
 
 
+@pytest.mark.parametrize("kind, times", [("pushforward", 500), ("direct_sum", 250)])
+@pytest.mark.parametrize("n", range(len(BASE_CONFIGS)))
+def test_a_dictionary_spec_nested_500_deep_keeps_the_exit_code_contract(n, kind, times):
+    # each base config's dictionary spec 500 JSON levels deep: the base of a
+    # pushforward 500 times over, or the one component of a direct sum (an
+    # object and a list) 250 times over
+    config = copy.deepcopy(BASE_CONFIGS[n])
+    for _ in range(times):
+        config["dictionary"] = (
+            {"kind": "pushforward", "base": config["dictionary"], "matrix": [[1.0]]}
+            if kind == "pushforward" else {"kind": "direct_sum", "components": [config["dictionary"]]})
+    _run_config(config)
+
+
 def test_base_configs_run_and_write_strict_metadata(tmp_path):
     for n, base in enumerate(BASE_CONFIGS):
         meta = tmp_path / f"{n}.meta.json"

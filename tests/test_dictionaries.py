@@ -33,6 +33,7 @@ from greedyexp.errors import (
     UnknownAtomError,
     ZeroAtomError,
 )
+from greedyexp.dictionaries import _well_formed
 from greedyexp.sequences import ConstantWeakening, Harmonic
 
 
@@ -66,11 +67,9 @@ def test_atom_id_parse_rejects_garbage():
             parse_atom_id(bad)
 
 
-ATOM_IDS = st.recursive(
-    st.tuples(st.just("e"), st.sampled_from([0, 1]), st.integers(0, 10 ** 30))
-    | st.tuples(st.just("y"), st.integers(0, 10 ** 30)),
-    lambda inner_ids: st.tuples(st.just("b"), st.integers(0, 10 ** 6), inner_ids),
-    max_leaves=4)
+UNBLOCKED_IDS = (st.tuples(st.just("e"), st.sampled_from([0, 1]), st.integers(1, 10 ** 30))
+                 | st.tuples(st.just("y"), st.integers(0, 10 ** 30)))
+ATOM_IDS = UNBLOCKED_IDS | st.tuples(st.just("b"), st.integers(1, 10 ** 6), UNBLOCKED_IDS)
 ID_PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
@@ -78,6 +77,34 @@ ID_PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, databa
 @given(ATOM_IDS)
 def test_atom_id_str_reads_back(aid):
     assert parse_atom_id(atom_id_str(aid)) == aid
+
+
+DEEP_ID = "b1:" * 3000 + "+e1"
+
+
+@pytest.mark.parametrize("text", ["+e0", "-e0", "b0:+e1", "b0:y0", "b1:b2:+e1", "b1:b1:y0",
+                                  DEEP_ID], ids=lambda t: t[:12])
+def test_atom_id_parse_rejects_ids_no_dictionary_has(text):
+    # index 0 is no basis index, block 0 no block, and direct sums do not nest
+    with pytest.raises(ValueError, match="cannot parse atom id"):
+        parse_atom_id(text)
+
+
+NESTED_IDS = st.recursive(
+    st.tuples(st.just("e"), st.sampled_from([0, 1]), st.integers(0, 3))
+    | st.tuples(st.just("y"), st.integers(0, 3)),
+    lambda inner_ids: st.tuples(st.just("b"), st.integers(0, 3), inner_ids), max_leaves=3)
+
+
+@ID_PROPERTY
+@given(NESTED_IDS)
+def test_atom_id_text_reads_back_exactly_when_the_id_is_well_formed(aid):
+    try:
+        parsed = parse_atom_id(atom_id_str(aid))
+    except ValueError:
+        parsed = None
+    assert (parsed == aid) is _well_formed(aid)
+    assert parsed in (aid, None)
 
 
 @ID_PROPERTY

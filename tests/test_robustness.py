@@ -133,8 +133,10 @@ def test_json_atoms_share_one_empty_vector_per_id(tmp_path):
 
 
 def test_json_block_zero_is_a_block(tmp_path):
+    # the block field is read as written, apart from the atom id: "0" is
+    # block 0, not an empty one
     def block_zero(obj):
-        obj["steps"][0].update(atom="b0:+e1", block=0)
+        obj["steps"][0].update(atom="b1:+e1", block=0)
     assert read_trace_json(json_trace(tmp_path, block_zero)).steps[0].block == 0
 
 

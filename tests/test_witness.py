@@ -7,8 +7,8 @@ other dictionary, a user's one-argument dictionary among them, is asked
 ``sup_inner(f)`` under every policy. These tests pin that the basis's
 witness-free sup is its witness query's sup bit for bit, also on heaps
 carried through steps and parents queried again; who is asked for what; that
-a scripted replay realizes each plan id once per dictionary and still aborts,
-typed, on every id it cannot realize; that scripted atom ids with bool
+a head-plus-tail dictionary keeps each atom a scripted replay realizes, and
+the replay still aborts, typed, on every id it cannot realize; that scripted atom ids with bool
 indices are unknown atoms; and that the trace writer's bytes are
 csv.writer's.
 """
@@ -308,22 +308,50 @@ def test_scripted_choose_is_handed_no_witness_by_the_basis_only():
 
 
 # ---------------------------------------------------------------------------
-# Scripted realizes each plan id once per dictionary
+# a head-plus-tail dictionary keeps the atoms it realizes, so a scripted
+# replay builds each once
 # ---------------------------------------------------------------------------
 
-def test_counterexample_replay_realizes_each_id_once(monkeypatch):
-    calls = []
-    realize = dictionaries.SymmetrizedOnb.realize
-
-    def counted(self, aid):
-        calls.append(aid)
-        return realize(self, aid)
-
+def test_counterexample_replay_realizes_each_id_once():
     plan = build_plan(default_config(0.5, 6))
-    monkeypatch.setattr(dictionaries.SymmetrizedOnb, "realize", counted)
     trace = run_plan(plan)
     assert trace.status.kind == "stopped" and len(trace.steps) == len(plan)
-    assert len(calls) == len(set(plan.selections)) < len(plan)
+    assert len({id(r.atom) for r in trace.steps}) == len(set(plan.selections)) < len(plan)
+
+
+def headed_kinds():
+    """Each head-plus-tail kind with a head id and, where it has a tail, a
+    tail id."""
+    extra = [SparseVector({1: 0.6, 2: 0.8})]
+    cases = [
+        (make_symmetrized_onb(), [("e", 0, 4), ("e", 1, 1)]),
+        (make_finite(extra), [("y", 0), ("y", 1)]),
+        (make_augmented_onb(extra, [1, 2]), [("y", 1), ("e", 0, 1), ("e", 1, 7)]),
+        (pushforward(make_symmetrized_onb(), [[0.6, -0.8], [0.8, 0.6]]),
+         [("e", 0, 2), ("e", 1, 3)]),
+    ]
+    return [pytest.param(d, aids, id=d.kind) for d, aids in cases]
+
+
+@pytest.mark.parametrize("d, aids", headed_kinds())
+def test_headed_dictionary_returns_the_atom_it_keeps(d, aids):
+    for aid in aids:
+        assert d.realize(aid) is d.realize(aid)
+        assert d.realize(aid).id == aid
+
+
+@pytest.mark.parametrize("d, aids", headed_kinds())
+def test_failed_realize_stores_nothing(d, aids):
+    # ("e", 0, True) equals the pushforward's head id ("e", 0, 1)
+    bad_ids = [("y", 9), ("e", 0, True), ("e", 0, 1.0), ("e", 0, [1]), ("b", 1, ("e", 0, 1))]
+    if d.tail_start is None:
+        bad_ids.append(("e", 0, 1))
+    kept = dict(d._atoms)
+    for bad in bad_ids:
+        for _ in range(2):
+            with pytest.raises(UnknownAtomError):
+                d.realize(bad)
+        assert d._atoms == kept
 
 
 def two_bases():
@@ -340,7 +368,7 @@ def replay(case, policy, steps):
 
 
 def test_one_instance_replays_on_two_dictionaries():
-    """The memo starts over on another dictionary object."""
+    """Each dictionary realizes the shared plan with its own atoms."""
     cases = two_bases()
     plan = ["+e1", "+e2", "+e1"]
     shared = Scripted(plan)
