@@ -448,31 +448,28 @@ def _exact_sum(terms: list) -> int:
 _NAN_NODE = (-math.inf, 0)
 
 
-def _magnitude_heap(v: SparseVector, start: int) -> list:
-    """v's heap of (-|x|, i) over the indices >= start, with _NAN_NODE for a
-    NaN entry, rebuilt when v has none, has one for another start, or has one
-    that is mostly stale nodes. A block-indexed entry raises
-    ConfigInvalidError: a basis tail lies on plain indices."""
+def tail_top(v: SparseVector, start: int):
+    """The largest magnitude over v's entries on indices >= start; None when
+    there is no such entry.
+
+    Reads v's heap of (-|x|, i) over the indices >= start, with _NAN_NODE for
+    a NaN entry, rebuilt when v has none, has one for another start, or has
+    one that is mostly stale nodes. Stale nodes are dropped from its root
+    until it holds a current entry, which it then keeps. A NaN entry raises
+    GreedyExpansionError: its node surfaces first. A block-indexed entry
+    raises ConfigInvalidError: a basis tail lies on plain indices."""
+    entries = v._entries
     heap = v._heap
-    if heap is None or heap[0] != start or len(heap[1]) > 2 * len(v._entries) + 16:
-        if tuple in set(map(type, v._entries)):
+    if heap is None or heap[0] != start or len(heap[1]) > 2 * len(entries) + 16:
+        if tuple in set(map(type, entries)):
             raise ConfigInvalidError("a basis tail takes plain indices, not (block, inner) pairs")
-        items = v._entries.items()
+        items = entries.items()
         if start != 1:
             items = ((i, x) for i, x in items if i >= start)
         heap = (start, [(-abs(x), i) if x == x else _NAN_NODE for i, x in items])
         heapq.heapify(heap[1])
         v._heap = heap
-    return heap[1]
-
-
-def tail_top(v: SparseVector, start: int):
-    """The largest magnitude over v's entries on indices >= start; None when
-    there is no such entry. Stale nodes are dropped from the root of v's
-    magnitude heap until it holds a current entry, which it then keeps. A NaN
-    entry raises GreedyExpansionError: its node surfaces first."""
-    nodes = _magnitude_heap(v, start)
-    entries = v._entries
+    nodes = heap[1]
     while nodes:
         neg, i = nodes[0]
         x = entries.get(i)

@@ -4,24 +4,25 @@ A dictionary answers two queries: the supremum of inner products against a
 vector (with the atom attaining it), and the realization of an atom id. All
 constructed dictionaries are symmetric (closed under negation). Tie-breaking
 is by the smallest atom id under a fixed total order so that traces are
-reproducible bit for bit. The symmetrized basis can also give the sup alone,
-for a policy that never reads the witness.
+reproducible bit for bit. A dictionary with an empty head (below: the
+symmetrized basis, or an augmented basis without extra atoms) can also give
+the sup alone, for a policy that never reads the witness.
 
 Every dictionary but a direct sum is one object, a `_Headed`: a materialized
 `head` of atoms plus, unless `tail_start` is None, the untouched signed basis on
 indices >= tail_start, with one `sup_inner` and one `realize` for all of them.
 Its subclasses (the symmetrized basis, finite dictionaries, augmented bases and
 pushforwards) only validate their input and build the head; the symmetrized
-basis is the one with an empty head and the tail from index 1. The `make_*`
-names, `direct_sum` and `pushforward` are the classes themselves. A basis tail
-takes plain indices only: a block-indexed vector raises ConfigInvalidError. A
-nonempty head is also kept as a dense float64 matrix. A query bounds every
-head atom's `fsum` score with one matrix-vector product and a certified error
-bound, and scores exactly only the atoms that can reach the sup or its witness
-band; the answer is the one a full scan gives, bit for bit. numpy is imported
-only where a dense array is built or read: nonempty heads (finite, augmented,
-pushforward, and direct sums holding one), the pushforward matrix and the
-coherence tools.
+basis has an empty head and the tail from index 1. The `make_*` names,
+`direct_sum` and `pushforward` are the classes themselves. Head atoms and a
+basis tail take plain indices only: a block-indexed atom or vector raises
+ConfigInvalidError. A nonempty head is also kept as a dense float64 matrix. A
+query bounds every head atom's `fsum` score with one matrix-vector product and
+a certified error bound, and scores exactly only the atoms that can reach the
+sup or its witness band; the answer is the one a full scan gives, bit for bit.
+numpy is imported only where a dense array is built or read: nonempty heads
+(finite, augmented, pushforward, and direct sums holding one), the pushforward
+matrix and the coherence tools.
 
 Atom ids are plain tuples whose natural tuple order is the canonical order:
 
@@ -131,8 +132,12 @@ def parse_atom_id(text: str) -> AtomId:
 
 
 def basis_atom(index: int, sign: float) -> Atom:
-    rank = 0 if sign > 0 else 1
-    return Atom(("e", rank, index), SparseVector({index: 1.0 if sign > 0 else -1.0}))
+    """The signed basis atom +e_index for a positive sign, -e_index for any
+    other: the one constructor of a basis atom. index must be a valid plain
+    index, so it is not validated again."""
+    if sign > 0:
+        return Atom(("e", 0, index), SparseVector._trusted({index: 1.0}))
+    return Atom(("e", 1, index), SparseVector._trusted({index: -1.0}))
 
 
 def _best(candidates: list) -> tuple:
@@ -277,11 +282,16 @@ class Dictionary(ABC):
 class _Headed(Dictionary):
     """A materialized head plus, unless tail_start is None, the untouched
     signed basis on indices >= tail_start: every dictionary but a direct sum.
-    what names the dictionary in an UnknownAtomError. _atoms holds the head
-    atoms and each basis-tail atom realize has built, by id."""
+    Head atoms take plain indices only. A dictionary with an empty head also
+    gives the sup alone (witness_optional). what names the dictionary in an
+    UnknownAtomError. _atoms holds the head atoms and each basis-tail atom
+    realize has built, by id."""
 
     def __init__(self, head: list, tail_start: Optional[int], what: str):
+        if tuple in {type(i) for a in head for i in a.vector._entries}:
+            raise ConfigInvalidError(f"{self.kind} dictionary atoms must use plain indices")
         self.head, self.tail_start, self._what = head, tail_start, what
+        self.witness_optional = not head
         self._atoms = {a.id: a for a in head}
         # an empty head has no dense form, so numpy stays unloaded
         self._dense = _DenseHead(head) if head else None
@@ -313,10 +323,10 @@ class _Headed(Dictionary):
             candidates = [(inner(f, head[k].vector), head[k]) for k in rows]
         if peak is not None:
             top, near = peak
-            rank, i = min((0 if x > 0 else 1, i) for i, x in near)
-            # i is one of f's entries, so its index needs no validation
-            vector = SparseVector._trusted({i: -1.0 if rank else 1.0})
-            candidates.append((top, Atom(("e", rank, i), vector)))
+            # the smallest id: a positive entry first, then the smallest
+            # index; i is one of f's entries, a valid plain index
+            _, i, x = min((x < 0, i, x) for i, x in near)
+            candidates.append((top, basis_atom(i, x)))
         return _best(candidates)
 
     def realize(self, aid: AtomId) -> Atom:
@@ -331,8 +341,7 @@ class _Headed(Dictionary):
                 return atom
             if aid[0] == "e" and self.tail_start is not None and aid[2] >= self.tail_start:
                 # a well-formed basis id holds a valid index
-                atom = self._atoms[aid] = Atom(aid, SparseVector._trusted(
-                    {aid[2]: -1.0 if aid[1] else 1.0}))
+                atom = self._atoms[aid] = basis_atom(aid[2], -1.0 if aid[1] else 1.0)
                 return atom
         raise _unknown(aid, self._what)
 
@@ -345,10 +354,9 @@ class _Headed(Dictionary):
 class SymmetrizedOnb(_Headed):
     """The symmetrized canonical orthonormal basis {e_i} ∪ {-e_i}, never
     materialized: the head-plus-tail dictionary with an empty head and the
-    basis tail from index 1. It also gives the sup alone, without a witness."""
+    basis tail from index 1."""
 
     kind = "symmetrized_onb"
-    witness_optional = True
 
     def __init__(self):
         super().__init__([], 1, "a signed basis atom")
@@ -386,10 +394,6 @@ class FiniteDictionary(_Headed):
     def __init__(self, vectors: Sequence[SparseVector]):
         if not vectors:
             raise ConfigInvalidError("a finite dictionary needs at least one atom")
-        for j, vec in enumerate(vectors):
-            for i in vec.support():
-                if not isinstance(i, int):
-                    raise ConfigInvalidError("finite dictionary atoms must use plain indices")
         super().__init__(_symmetrize(vectors, "atoms"), None, "an atom of this finite dictionary")
         self.atoms = self.head
 
@@ -522,7 +526,8 @@ class PushforwardDictionary(_Headed):
             head[:0] = [basis_atom(i, s) for i in range(tail_start, dim + 1) for s in (1.0, -1.0)]
             tail_start = dim + 1
         for a in head:
-            if any(not (isinstance(i, int) and i <= dim) for i in a.vector.support()):
+            # the base's head atoms, like its basis atoms, take plain indices
+            if any(i > dim for i in a.vector.support()):
                 raise ConfigInvalidError(
                     f"atom {atom_id_str(a.id)} has support outside the {dim}-dimensional matrix range"
                 )
@@ -637,12 +642,21 @@ def estimate_coherence(dictionary: Dictionary, samples: int, seed: int) -> Coher
 # ---------------------------------------------------------------------------
 
 
+def _direct_sum_from_config(specs) -> DirectSumDictionary:
+    """A direct sum of the dictionaries specs give. A nested sum is refused by
+    its kind tag before any component is built, so a deep chain of sums never
+    recurses into a component (a finite one would import numpy at its depth)."""
+    if any(isinstance(c, dict) and c.get("kind") == "direct_sum" for c in specs):
+        raise ConfigInvalidError("direct sums cannot be nested")
+    return direct_sum([dictionary_from_config(c) for c in specs])
+
+
 _DICTIONARY_BUILDERS = {
     "symmetrized_onb": lambda spec: make_symmetrized_onb(),
     "finite": lambda spec: make_finite([SparseVector.from_json(a) for a in spec["atoms"]]),
     "augmented_onb": lambda spec: make_augmented_onb(
         [SparseVector.from_json(a) for a in spec.get("extra", [])], spec.get("e_prime", [])),
-    "direct_sum": lambda spec: direct_sum([dictionary_from_config(c) for c in spec["components"]]),
+    "direct_sum": lambda spec: _direct_sum_from_config(spec["components"]),
     # a matrix that is no real array is a bad spec here, before pushforward
     # would call it not orthogonal. It is read before the base, so numpy loads
     # at the top of a chain of pushforwards and never half-way at its depth

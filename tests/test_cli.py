@@ -201,9 +201,12 @@ def nested(kind, depth):
 
 @pytest.mark.parametrize("kind, depth", [("pushforward", 500), ("direct_sum", 400)])
 def test_run_on_a_dictionary_spec_nested_too_deeply_exits_1(tmp_path, capsys, kind, depth):
+    # a nested direct sum is refused by its kind tag before it is built
+    message = ("direct sums cannot be nested" if kind == "direct_sum"
+               else "dictionary spec nested too deeply")
     path, _ = write_config(tmp_path, dictionary=nested(kind, depth))
     assert main(["run", "--config", str(path)]) == 1
-    assert capsys.readouterr() == ("", f"error: {path}: dictionary spec nested too deeply\n")
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
 DEEP_ID = "b1:" * 3000 + "+e1"

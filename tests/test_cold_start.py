@@ -4,7 +4,8 @@ The test modules import numpy themselves, so each check runs its code in a
 fresh interpreter and reads sys.modules there. numpy loads only where a dense
 array is built (a nonempty head, a pushforward matrix, the coherence tools) and
 the process pool only in sweep: the empty heads of the symmetrized basis and
-of an augmented basis without extra atoms load nothing.
+of an augmented basis without extra atoms load nothing, and neither does a
+chain of nested direct sums, which is refused before a component is built.
 """
 
 import json
@@ -129,3 +130,29 @@ def test_deep_pushforward_chains_load_numpy_at_their_top():
         print(json.dumps([value, atom.id[1:], deep, finite]))
     """))
     assert result == [3.0, [1, 2], "dictionary spec nested too deeply", 2.0]
+
+
+def test_nested_direct_sums_are_refused_before_a_component_is_built():
+    # a nested sum is refused by its kind tag, so a chain of sums around a
+    # finite dictionary never builds the finite one, at any depth: numpy
+    # stays unloaded, and loads whole for a later finite query
+    result = last_json(fresh("""
+        import json, sys
+        from greedyexp import SparseVector, dictionary_from_config, make_finite
+        from greedyexp.errors import ConfigInvalidError
+
+        refused = set()
+        for depth in range(300, 1, -1):
+            spec = {"kind": "finite", "atoms": [[[1, 1.0]]]}
+            for _ in range(depth):
+                spec = {"kind": "direct_sum", "components": [spec]}
+            try:
+                dictionary_from_config(spec)
+            except ConfigInvalidError as exc:
+                refused.add(str(exc))
+        loaded = "numpy" in sys.modules
+        finite = make_finite([SparseVector({1: 1.0}), SparseVector({2: 1.0})])
+        value = finite.sup_inner(SparseVector({1: 0.5, 2: 0.25}))[0]
+        print(json.dumps([sorted(refused), loaded, value]))
+    """))
+    assert result == [["direct sums cannot be nested"], False, 0.5]

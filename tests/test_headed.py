@@ -133,6 +133,19 @@ def test_basis_sup_alone_refuses_block_indices(entries):
         make_symmetrized_onb().sup_inner(SparseVector(entries), witness=False)
 
 
+def test_augmented_basis_refuses_a_block_indexed_extra():
+    # E' may hold the pair, but a head atom, like a basis tail, takes plain indices
+    with pytest.raises(ConfigInvalidError,
+                       match="^augmented_onb dictionary atoms must use plain indices$"):
+        make_augmented_onb([SparseVector({(1, 1): 1.0})], [(1, 1)])
+
+
+def test_pushforward_refuses_a_base_atom_outside_its_matrix_range():
+    with pytest.raises(ConfigInvalidError,
+                       match="^atom y0 has support outside the 2-dimensional matrix range$"):
+        pushforward(make_finite([SparseVector({1: 0.6, 3: 0.8})]), Q)
+
+
 def test_empty_augmented_basis_answers_as_the_basis():
     f = SparseVector({3: -0.5, 1: 0.5, 2: 0.25})
     value, atom = make_augmented_onb([], []).sup_inner(f)

@@ -1,12 +1,13 @@
 """Witness-free selection for policies that never read the witness.
 
 A policy with ``needs_witness = False`` (``Scripted``) makes the engine ask a
-dictionary with ``witness_optional = True`` (the symmetrized basis) for
-``sup_inner(f, witness=False)``: the sup alone, with None for the atom. Every
-other dictionary, a user's one-argument dictionary among them, is asked
-``sup_inner(f)`` under every policy. These tests pin that the basis's
-witness-free sup is its witness query's sup bit for bit, also on heaps
-carried through steps and parents queried again; who is asked for what; that
+dictionary with ``witness_optional = True`` (every head-plus-tail dictionary
+with an empty head: the symmetrized basis and an augmented basis without
+extra atoms) for ``sup_inner(f, witness=False)``: the sup alone, with None for
+the atom. Every other dictionary, a user's one-argument dictionary among them,
+is asked ``sup_inner(f)`` under every policy. These tests pin that the
+witness-free sup of both is their witness query's sup bit for bit, also on
+heaps carried through steps and parents queried again; who is asked for what; that
 a head-plus-tail dictionary keeps each atom a scripted replay realizes, and
 the replay still aborts, typed, on every id it cannot realize; that scripted atom ids with bool
 indices are unknown atoms; and that the trace writer's bytes are
@@ -46,35 +47,38 @@ from greedyexp.sequences import ConstantWeakening, Harmonic, Power
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 ONB = make_symmetrized_onb()
+# the dictionaries that give the sup alone: those with an empty head
+SUP_ALONE = pytest.mark.parametrize("d", [ONB, make_augmented_onb([], [])],
+                                    ids=["symmetrized_onb", "augmented_onb"])
 
 
-def answer(f, witness):
-    """(sup as hex, witness id or None) of one basis query, or the exception
+def answer(d, f, witness):
+    """(sup as hex, witness id or None) of one query of d, or the exception
     type it raises."""
     try:
         if witness:
-            value, atom = ONB.sup_inner(f)
+            value, atom = d.sup_inner(f)
         else:
-            value, atom = ONB.sup_inner(f, witness=False)
+            value, atom = d.sup_inner(f, witness=False)
     except GreedyExpansionError as exc:
         return type(exc)
     return value.hex(), None if atom is None else atom.id
 
 
-def assert_sup_alone_matches(f):
+def assert_sup_alone_matches(d, f):
     """witness=False gives a fresh witness query's sup bit for bit, and None,
     on f as it stands and on copies where either mode reads the heap first."""
-    expected = answer(SparseVector(dict(f.items())), True)
+    expected = answer(d, SparseVector(dict(f.items())), True)
     alone = expected if isinstance(expected, type) else (expected[0], None)
-    assert answer(f, False) == alone
-    assert answer(f, True) == expected
+    assert answer(d, f, False) == alone
+    assert answer(d, f, True) == expected
     g = SparseVector(dict(f.items()))
-    assert answer(g, False) == alone
-    assert answer(g, True) == expected
-    assert answer(g, False) == alone
+    assert answer(d, g, False) == alone
+    assert answer(d, g, True) == expected
+    assert answer(d, g, False) == alone
     h = SparseVector(dict(f.items()))
-    assert answer(h, True) == expected
-    assert answer(h, False) == alone
+    assert answer(d, h, True) == expected
+    assert answer(d, h, False) == alone
 
 
 def test_only_the_basis_gives_the_sup_alone():
@@ -86,14 +90,19 @@ def test_only_the_basis_gives_the_sup_alone():
         assert d.witness_optional is False
 
 
+def test_an_empty_augmented_basis_gives_the_sup_alone():
+    assert make_augmented_onb([], []).witness_optional is True
+
+
 # ---------------------------------------------------------------------------
-# the basis's sup alone, on near-ties, scales and carried heaps
+# the sup alone, on near-ties, scales and carried heaps
 # ---------------------------------------------------------------------------
 
+@SUP_ALONE
 @PROPERTY
 @given(remainders(PLAIN))
-def test_sup_alone_equals_witness_sup(f):
-    assert_sup_alone_matches(f)
+def test_sup_alone_equals_witness_sup(d, f):
+    assert_sup_alone_matches(d, f)
 
 
 @pytest.mark.parametrize("entries", [
@@ -105,23 +114,25 @@ def test_sup_alone_equals_witness_sup(f):
     {7: 1.0},
     {},
 ])
-def test_extreme_remainders_agree(entries):
-    assert_sup_alone_matches(SparseVector(entries))
+@SUP_ALONE
+def test_extreme_remainders_agree(d, entries):
+    assert_sup_alone_matches(d, SparseVector(entries))
 
 
+@SUP_ALONE
 @PROPERTY
 @given(st.floats(min_value=1e-3, max_value=10.0), TIED, TIED)
-def test_carried_heaps_give_the_same_sup(base, draws, updates):
+def test_carried_heaps_give_the_same_sup(d, base, draws, updates):
     f = tied_vector(base, draws)
     kept = [f]
     for i, level, gap, sign in updates[:12]:
-        assert_sup_alone_matches(f)
+        assert_sup_alone_matches(d, f)
         new = tied_vector(base, [(i, level, gap, sign)]).get(i) if level else 0.0
         f = subtract_scaled(f, 1.0, SparseVector({i: f.get(i) - new}))
         kept.append(f)
     # parents asked again after their heaps went to their children
     for g in kept:
-        assert_sup_alone_matches(g)
+        assert_sup_alone_matches(d, g)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +169,7 @@ def test_nan_in_a_basis_block_of_a_direct_sum_raises(basis):
 @pytest.mark.parametrize("witness", [True, False])
 def test_nan_that_a_step_writes_into_a_carried_heap_raises(witness):
     f = SparseVector({1: float("inf"), 2: 0.5})
-    assert answer(f, witness)[0] == float("inf").hex()
+    assert answer(ONB, f, witness)[0] == float("inf").hex()
     # inf - inf: the handed-over heap gets a NaN node, and is not rebuilt
     g = subtract_scaled(f, 1.0, SparseVector({1: float("inf")}))
     assert g._heap is not None
@@ -289,22 +300,39 @@ def test_one_argument_dictionary_replays_a_script(wrap):
     assert [r.sup.hex() for r in trace.steps] == [r.sup.hex() for r in replay.steps]
 
 
+class Spy(Scripted):
+    """A scripted replay that appends each witness choose is handed to seen."""
+
+    def __init__(self, plan, seen):
+        super().__init__(plan)
+        self.seen = seen
+
+    def choose(self, step, dictionary, f, t, sup, witness):
+        self.seen.append(witness)
+        return super().choose(step, dictionary, f, t, sup, witness)
+
+
 def test_scripted_choose_is_handed_no_witness_by_the_basis_only():
     seen = []
-
-    class Spy(Scripted):
-        def choose(self, step, dictionary, f, t, sup, witness):
-            seen.append(witness)
-            return super().choose(step, dictionary, f, t, sup, witness)
-
     target = SparseVector({1: 1.0, 2: 0.5})
     run(target, make_symmetrized_onb(), Power(1.0), ConstantWeakening(0.5),
-        policy=Spy(["+e1", "+e2"]), max_steps=2)
+        policy=Spy(["+e1", "+e2"], seen), max_steps=2)
     assert seen == [None, None]
     # a head dictionary keeps finding its witness, which Scripted ignores
     run(target, make_augmented_onb([SparseVector({1: 0.6, 2: 0.8})], [1, 2]), Power(1.0),
-        ConstantWeakening(0.5), policy=Spy(["+e1", "+e2"]), max_steps=2)
+        ConstantWeakening(0.5), policy=Spy(["+e1", "+e2"], seen), max_steps=2)
     assert [atom_id_str(w.id) for w in seen[2:]] == ["+e1", "+e2"]
+
+
+def test_scripted_replay_on_an_empty_augmented_basis_takes_the_sup_alone():
+    seen = []
+    plan = build_plan(default_config(0.5, 3))
+    trace = run(build_target(plan.config), make_augmented_onb([], []), plan.coefficients,
+                ConstantWeakening(0.5), policy=Spy(plan.selections, seen), max_steps=len(plan) + 1)
+    assert seen == [None] * len(plan) and len(trace.steps) == len(plan)
+    replay = run_plan(plan)
+    assert trace.status == replay.status
+    assert records(trace) == records(replay)
 
 
 # ---------------------------------------------------------------------------
