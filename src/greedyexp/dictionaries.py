@@ -50,7 +50,6 @@ from .errors import (
     EmptyVectorError,
     GreedyExpansionError,
     IndexPastEndError,
-    NoAdmissibleAtomError,
     NotOrthogonalError,
     SupportOutsideEPrimeError,
     UnknownAtomError,
@@ -407,11 +406,12 @@ class AugmentedOnb(_Headed):
 
     def __init__(self, extra: Sequence[SparseVector], e_prime: Iterable[int]):
         # each index checked before the set is formed: 1 in {True} and 1 in
-        # {1.0} both hold
+        # {1.0} both hold. E' lies in the basis tail, so its indices are plain
         e_prime = list(e_prime)
         for j, i in enumerate(e_prime):
             try:
-                validate_index(i)
+                if isinstance(validate_index(i), tuple):
+                    raise TypeError(f"E' takes plain indices, not (block, inner) pairs, got {i!r}")
             except (TypeError, ValueError) as exc:
                 raise ConfigInvalidError(f"e_prime[{j}]: {exc}") from exc
         e_prime = frozenset(e_prime)
@@ -456,8 +456,8 @@ class DirectSumDictionary(Dictionary):
         """Each nonzero block's lifted (value, atom), in block order, then _best.
         A block's answer is memoized beside its restriction, keyed by this
         dictionary; a step shares the restrictions it leaves untouched, so
-        only the block it touched is selected in again. A nonzero vector with
-        no coordinates in blocks 1..n raises ConfigInvalidError."""
+        only the block it touched is selected in again. A vector with a
+        coordinate outside blocks 1..n raises ConfigInvalidError."""
         parts = block_parts(f)
         candidates = []
         for l, comp in enumerate(self.components, start=1):
@@ -470,9 +470,9 @@ class DirectSumDictionary(Dictionary):
                 value, atom = comp.sup_inner(fl)
                 best = memo[self] = (value, _lift(l, atom))
             candidates.append(best)
-        if not candidates and parts:
+        if len(candidates) < len(parts):
             raise ConfigInvalidError(
-                f"the vector has no coordinates in this direct sum's blocks 1..{len(self.components)}")
+                f"the vector has coordinates outside this direct sum's blocks 1..{len(self.components)}")
         return _best(candidates)
 
     def realize(self, aid: AtomId) -> Atom:
@@ -560,11 +560,12 @@ class MaxGreedy:
 
 
 class Scripted:
-    """Replay a fixed atom plan, validating admissibility at every step.
+    """Replay a fixed atom plan. The engine holds each planned atom to the
+    weak greedy condition, as it does every policy's.
 
-    needs_witness is False: choose checks the planned atom against t*sup and
-    never reads its witness argument, so on a dictionary that can skip it the
-    engine asks for the sup alone and hands choose None as the witness.
+    needs_witness is False: choose never reads its witness argument, so on a
+    dictionary that can skip it the engine asks for the sup alone and hands
+    choose None as the witness.
 
     choose realizes its plan id on the dictionary at every step and keeps
     nothing but the plan: a head-plus-tail dictionary keeps the atoms it
@@ -582,14 +583,7 @@ class Scripted:
             if step > 0:
                 raise IndexPastEndError(f"selection plan exhausted at step {step}")
             raise ConfigInvalidError(f"selection plan step must be >= 1, got {step}")
-        atom = dictionary.realize(self.plan[step - 1])
-        ip = inner(f, atom.vector)
-        if ip < t * sup - ADMISSIBILITY_SLACK:
-            raise NoAdmissibleAtomError(
-                f"step {step}: scripted atom {atom_id_str(atom.id)} has ip={ip:.17g} "
-                f"< t*sup={t * sup:.17g}"
-            )
-        return atom
+        return dictionary.realize(self.plan[step - 1])
 
 
 # ---------------------------------------------------------------------------

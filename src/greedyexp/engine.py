@@ -1,9 +1,11 @@
 """The greedy expansion engine: selection, remainder recursion, stop rule, trace.
 
-Each step selects an admissible atom, subtracts c_m times it from the remainder
-and records what happened. The stop rule fires only on an exactly empty
-remainder; budget truncation and early exits are recorded as Exhausted so that
-analysis never mistakes them for convergence.
+Each step takes the atom its policy chooses, holds it to the weak greedy
+condition <f_{m-1}, atom> >= t_m * sup_g <f_{m-1}, g> (up to
+ADMISSIBILITY_SLACK), whatever the policy, subtracts c_m times it from the
+remainder and records what happened. The stop rule fires only on an exactly
+empty remainder; budget truncation and early exits are recorded as Exhausted
+so that analysis never mistakes them for convergence.
 
 Every remainder reads as a new immutable vector, so a policy may keep the ones
 it is handed, though not read one in another thread while the run goes on:
@@ -22,10 +24,12 @@ import math
 import numbers
 import operator
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from typing import Optional
 
 from .core import SparseVector, inner, norm_or_inf, subtract_scaled
-from .dictionaries import Atom, Dictionary, MaxGreedy, atom_id_str, parse_atom_id
+from .dictionaries import (ADMISSIBILITY_SLACK, Atom, Dictionary, MaxGreedy, atom_id_str,
+                           parse_atom_id)
 from .errors import (
     ConfigInvalidError,
     GreedyExpansionError,
@@ -98,12 +102,14 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
     Stops early with status Stopped(m) when the remainder entering step m is
     exactly empty. stop_below is a budget device: once the recorded residual
     norm falls strictly below it the run ends as Exhausted with a reason, never
-    as Stopped. Scripted-plan violations and exhausted explicit sequences end
-    the run as Aborted, as does a step whose residual norm is not finite or
-    overflows; that step is not recorded. A target whose norm is not finite or
-    overflows raises ConfigInvalidError, as do a max_steps that is a bool, no
-    integer or negative and a stop_below that is a bool, no real number or NaN,
-    and either one an integer too large for a float.
+    as Stopped. A chosen atom whose inner product with the remainder falls
+    below t*sup - ADMISSIBILITY_SLACK, from any policy, ends the run as
+    Aborted with NoAdmissibleAtomError, as do an exhausted plan or explicit
+    sequence, an unknown atom id and a step whose residual norm is not finite
+    or overflows; that step is not recorded. A target whose norm is not
+    finite or overflows raises ConfigInvalidError, as do a max_steps that is
+    a bool, no integer or negative and a stop_below that is a bool, no real
+    number or NaN, and either one an integer too large for a float.
     """
     if not is_number(max_steps, numbers.Integral) or max_steps < 0:
         raise ConfigInvalidError(f"max_steps must be an integer >= 0, got {max_steps!r}")
@@ -116,8 +122,9 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
     policy = policy if policy is not None else MaxGreedy()
     # a policy that never reads the witness spares a dictionary that can give
     # the sup alone the search for it; any other pair passes the vector alone
-    sup_alone = (not getattr(policy, "needs_witness", True)
-                 and getattr(dictionary, "witness_optional", False))
+    sup_query = dictionary.sup_inner
+    if not getattr(policy, "needs_witness", True) and getattr(dictionary, "witness_optional", False):
+        sup_query = partial(sup_query, witness=False)
     remainder = SparseVector._trusted(dict(f._entries))
     initial_norm = norm_or_inf(f)
     if not math.isfinite(initial_norm):
@@ -130,15 +137,15 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
         try:
             c = coefficients.eval(m)
             t = weakening.eval(m)
-            if sup_alone:
-                sup, witness = dictionary.sup_inner(remainder, witness=False)
-            else:
-                sup, witness = dictionary.sup_inner(remainder)
+            sup, witness = sup_query(remainder)
             atom = policy.choose(m, dictionary, remainder, t, sup, witness)
+            ip = inner(remainder, atom.vector)
+            if ip < t * sup - ADMISSIBILITY_SLACK:
+                raise NoAdmissibleAtomError(f"step {m}: atom {atom_id_str(atom.id)} has "
+                                            f"ip={ip:.17g} < t*sup={t * sup:.17g}")
         except (IndexPastEndError, NoAdmissibleAtomError, UnknownAtomError) as exc:
             trace.status = Status("aborted", m, f"{type(exc).__name__}: {exc}")
             return trace
-        ip = inner(remainder, atom.vector)
         remainder = subtract_scaled(remainder, c, atom.vector)
         residual = norm_or_inf(remainder)
         if not residual < math.inf:

@@ -12,7 +12,8 @@ class EmptyVectorError(GreedyExpansionError):
 
 
 class NoAdmissibleAtomError(GreedyExpansionError):
-    """A scripted atom fails the weak selection inequality."""
+    """A chosen atom fails the weak greedy condition <f, atom> >= t * sup; the
+    engine checks it for every policy."""
 
 
 class IndexPastEndError(GreedyExpansionError):

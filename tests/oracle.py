@@ -12,9 +12,10 @@ restriction, memo, square-sum cache or entry-dict handover.
 The oracle reads a dictionary's data only: `head`, `tail_start` and, for a
 direct sum, `components`. How atoms are built is pinned elsewhere; here the
 materialized atoms are taken as given and basis atoms are made afresh. It
-drives `MaxGreedy` and `Scripted` policies and returns, per step, the record
-fields and the remainder the policy was handed, and the final status with the
-exception class that aborted the run, if any.
+drives `MaxGreedy` and `Scripted` policies, holds every chosen atom to the
+weak greedy condition, and returns, per step, the record fields and the
+remainder the policy was handed, and the final status with the exception
+class that aborted the run, if any.
 """
 
 import math
@@ -112,11 +113,12 @@ def run(f, dictionary, coefficients, weakening, policy, max_steps: int) -> tuple
                     raise IndexPastEndError(m)
                 aid = plan[m - 1]
                 vec = realize(dictionary, aid)
-                if score(r, vec) < t * top - ADMISSIBILITY_SLACK:
-                    raise NoAdmissibleAtomError(m)
+            ip = score(r, vec)
+            # the weak greedy condition, whatever the policy
+            if ip < t * top - ADMISSIBILITY_SLACK:
+                raise NoAdmissibleAtomError(m)
         except (IndexPastEndError, NoAdmissibleAtomError, UnknownAtomError) as exc:
             return steps, ("aborted", m, type(exc).__name__)
-        ip = score(r, vec)
         handed = dict(r)
         for i, x in vec.items():
             new = r.get(i, 0.0) - c * x

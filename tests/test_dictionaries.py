@@ -27,7 +27,6 @@ from greedyexp.errors import (
     ConfigInvalidError,
     EmptyVectorError,
     IndexPastEndError,
-    NoAdmissibleAtomError,
     NotOrthogonalError,
     SupportOutsideEPrimeError,
     UnknownAtomError,
@@ -237,15 +236,24 @@ def test_max_greedy_select():
     assert atom.id == ("e", 0, 2)
 
 
+def replay_one(f, t, plan):
+    """One step of a scripted replay on the basis, as the engine runs it."""
+    return run(f, make_symmetrized_onb(), Harmonic(), ConstantWeakening(t), policy=Scripted(plan),
+               max_steps=1)
+
+
 def test_scripted_boundary_admissible():
     # ip = 0.25 equals t*sup = 0.5*0.5 exactly
-    atom = choose(make_symmetrized_onb(), sv((1, 0.25), (2, 0.5)), 0.5, Scripted(["+e1"]))
-    assert atom.id == ("e", 0, 1)
+    trace = replay_one(sv((1, 0.25), (2, 0.5)), 0.5, ["+e1"])
+    assert [r.atom.id for r in trace.steps] == [("e", 0, 1)]
+    assert trace.status.kind == "exhausted"
 
 
-def test_scripted_inadmissible_raises():
-    with pytest.raises(NoAdmissibleAtomError):
-        choose(make_symmetrized_onb(), sv((1, 0.1), (2, 0.5)), 0.5, Scripted(["+e1"]))
+def test_scripted_inadmissible_aborts_the_run():
+    trace = replay_one(sv((1, 0.1), (2, 0.5)), 0.5, ["+e1"])
+    assert trace.steps == [] and (trace.status.kind, trace.status.step) == ("aborted", 1)
+    assert trace.status.reason == ("NoAdmissibleAtomError: step 1: atom +e1 has "
+                                   "ip=0.10000000000000001 < t*sup=0.25")
 
 
 def test_scripted_unknown_atom():
@@ -285,7 +293,7 @@ def test_augmented_rejects_support_outside_eprime():
 
 # a bool, a float or an index below 1 is no coordinate index, though 1 in
 # {True} and 1 in {1.0} both hold
-@pytest.mark.parametrize("e_prime", [[True], [1.5, 1.0], [1.0], [0], [2, -1], [[1, 1]]])
+@pytest.mark.parametrize("e_prime", [[True], [1.5, 1.0], [1.0], [0], [2, -1], [[1, 1]], [1, (1, 1)]])
 def test_augmented_rejects_an_e_prime_entry_that_is_no_index(e_prime):
     with pytest.raises(ConfigInvalidError, match=r"e_prime\["):
         make_augmented_onb([SparseVector({1: 1.0})], e_prime=e_prime)

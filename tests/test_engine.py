@@ -6,7 +6,11 @@ import re
 import numpy as np
 import pytest
 
+import greedyexp.core as core
+import greedyexp.dictionaries as dictionaries
+import greedyexp.engine as engine
 from greedyexp.core import SparseVector, norm, subtract_scaled
+from greedyexp.counterexample import build_plan, default_config, run_plan
 from greedyexp.dictionaries import (
     Atom,
     MaxGreedy,
@@ -17,6 +21,7 @@ from greedyexp.dictionaries import (
 )
 from greedyexp.engine import (
     CSV_HEADER,
+    Status,
     StepRecord,
     Trace,
     read_trace_csv,
@@ -158,6 +163,40 @@ def test_aborts_on_inadmissible_scripted_atom():
                 policy=Scripted(["+e1"]), max_steps=10)
     assert trace.status.kind == "aborted"
     assert "NoAdmissibleAtom" in trace.status.reason
+
+
+class Negated:
+    """A user policy that plays the negation of the witness, so ip = -sup."""
+
+    def choose(self, step, dictionary, f, t, sup, witness):
+        aid = witness.id
+        return dictionary.realize(("e", 1 - aid[1], aid[2]) if aid[0] == "e" else ("y", aid[1] ^ 1))
+
+
+@pytest.mark.parametrize("d,reason", [
+    (ONB, "step 1: atom +e2 has ip=-1 < t*sup=0.5"),
+    (make_finite([dense([1, 0]), dense([0, 1])]), "step 1: atom y2 has ip=-1 < t*sup=0.5"),
+], ids=["onb", "finite"])
+def test_a_user_policy_breaking_the_weak_greedy_condition_aborts(d, reason):
+    trace = run(dense([0.5, -1.0]), d, Harmonic(), ConstantWeakening(0.5), policy=Negated(),
+                max_steps=10)
+    assert trace.steps == []
+    assert trace.status == Status("aborted", 1, f"NoAdmissibleAtomError: {reason}")
+
+
+def test_scripted_replay_computes_one_inner_product_per_step(monkeypatch):
+    calls = []
+
+    def counted(u, v):
+        calls.append(None)
+        return core.inner(u, v)
+
+    monkeypatch.setattr(engine, "inner", counted)
+    monkeypatch.setattr(dictionaries, "inner", counted)
+    plan = build_plan(default_config(0.5, 4))
+    trace = run_plan(plan)
+    assert trace.status.kind == "stopped"
+    assert len(calls) == len(trace.steps) == len(plan)
 
 
 def test_early_exit_recorded_as_exhausted_with_reason():

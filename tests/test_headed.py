@@ -134,9 +134,10 @@ def test_basis_sup_alone_refuses_block_indices(entries):
 
 
 def test_augmented_basis_refuses_a_block_indexed_extra():
-    # E' may hold the pair, but a head atom, like a basis tail, takes plain indices
-    with pytest.raises(ConfigInvalidError,
-                       match="^augmented_onb dictionary atoms must use plain indices$"):
+    # E', like a head atom and a basis tail, takes plain indices, and is
+    # checked first
+    with pytest.raises(ConfigInvalidError, match=r"^e_prime\[0\]: E' takes plain indices, "
+                                                 r"not \(block, inner\) pairs, got \(1, 1\)$"):
         make_augmented_onb([SparseVector({(1, 1): 1.0})], [(1, 1)])
 
 

@@ -184,15 +184,29 @@ class _Outside:
         return BLOCK_ATOM if step == 1 else witness
 
 
-@pytest.mark.parametrize("d,needs_witness", [
+OUTSIDE_CASES = pytest.mark.parametrize("d,needs_witness", [
     (make_symmetrized_onb(), True),
     (make_symmetrized_onb(), False),
     (pushforward(make_symmetrized_onb(), [[0.6, -0.8], [0.8, 0.6]]), True),
 ], ids=["onb", "onb_sup_alone", "pushforward"])
+
+
+@OUTSIDE_CASES
 def test_block_atom_on_a_basis_tail_ends_in_config_error(d, needs_witness):
+    # the atom's ip of 0 passes the weak greedy condition only at a t this small
     f = SparseVector({1: 1.0, 3: 0.5, 4: 0.25})
     with pytest.raises(ConfigInvalidError, match="plain indices"):
-        run(f, d, Harmonic(), ConstantWeakening(1.0), policy=_Outside(needs_witness), max_steps=5)
+        run(f, d, Harmonic(), ConstantWeakening(1e-13), policy=_Outside(needs_witness),
+            max_steps=5)
+
+
+@OUTSIDE_CASES
+def test_block_atom_on_a_basis_tail_at_t_1_aborts_as_inadmissible(d, needs_witness):
+    f = SparseVector({1: 1.0, 3: 0.5, 4: 0.25})
+    trace = run(f, d, Harmonic(), ConstantWeakening(1.0), policy=_Outside(needs_witness),
+                max_steps=5)
+    assert trace.steps == [] and (trace.status.kind, trace.status.step) == ("aborted", 1)
+    assert trace.status.reason.startswith("NoAdmissibleAtomError: step 1: atom b1:+e1 has ip=0 <")
 
 
 @pytest.mark.parametrize("start", [1, 3])
@@ -220,24 +234,28 @@ def test_direct_sum_refuses_a_vector_outside_its_blocks(entries):
         d.sup_inner(SparseVector(entries))
 
 
-def test_direct_sum_answers_as_before_while_a_block_is_nonzero():
+@pytest.mark.parametrize("outside", [(3, 1), 4], ids=["past_blocks", "plain"])
+def test_direct_sum_refuses_a_vector_outside_its_blocks_while_a_block_is_nonzero(outside):
     d = direct_sum([make_symmetrized_onb(), make_symmetrized_onb()])
-    value, atom = d.sup_inner(SparseVector({(1, 1): 1.0, (3, 1): 5.0}))
-    assert (value, atom.id) == (1.0, ("b", 1, ("e", 0, 1)))
+    with pytest.raises(ConfigInvalidError, match=r"has coordinates outside .* blocks 1\.\.2$"):
+        d.sup_inner(SparseVector({(1, 1): 1.0, outside: 5.0}))
     with pytest.raises(EmptyVectorError):
         d.sup_inner(SparseVector())
 
 
-def test_direct_sum_run_past_its_blocks_ends_in_config_error():
+@pytest.mark.parametrize("first", [1.0, 0.7])
+def test_direct_sum_run_past_its_blocks_ends_in_config_error(first):
+    # at 0.7 block 1 never empties: only the first query can refuse the target
     d = direct_sum([make_symmetrized_onb(), make_symmetrized_onb()])
-    f = SparseVector({(1, 1): 1.0, (3, 1): 5.0})
+    f = SparseVector({(1, 1): first, (3, 1): 5.0})
     with pytest.raises(ConfigInvalidError, match=r"blocks 1\.\.2"):
-        run(f, d, Explicit([1.0, 1.0]), ConstantWeakening(1.0), policy=MaxGreedy(), max_steps=5)
+        run(f, d, Harmonic(), ConstantWeakening(1.0), policy=MaxGreedy(), max_steps=10)
 
 
-def test_cli_run_past_the_blocks_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("first", [1.0, 0.7])
+def test_cli_run_past_the_blocks_exits_1(tmp_path, capsys, first):
     config = {
-        "target": {"inline": [[[1, 1], 1.0], [[3, 1], 5.0]]},
+        "target": {"inline": [[[1, 1], first], [[3, 1], 5.0]]},
         "dictionary": {"kind": "direct_sum", "components": [{"kind": "symmetrized_onb"},
                                                            {"kind": "symmetrized_onb"}]},
         "coefficients": {"kind": "harmonic"},
