@@ -360,7 +360,8 @@ def subtract_scaled(v: SparseVector, c: float, a: SparseVector) -> SparseVector:
         if a is v:
             # the step updates this very dict: read the atom first
             pairs = list(pairs)
-        return _step(v, c, pairs, _exact_square_sum(v))
+        total = v._square_sum
+        return _step(v, c, pairs, _exact_square_sum(v) if total is None else total)
     parts = dict(parts)
     for l, (al, _) in block_parts(a).items():
         wl = subtract_scaled(v.block_restriction(l), c, al)
@@ -414,7 +415,12 @@ def _step(v: SparseVector, c: float, pairs, total) -> SparseVector:
                 total += _exact_sum(terms)
         except (OverflowError, ValueError):
             total = None
-    w = SparseVector._trusted(entries, total, heap)
+    # SparseVector._trusted, inlined: one call fewer per step
+    w = object.__new__(SparseVector)
+    w._entries = entries
+    w._square_sum = total
+    w._heap = heap
+    w._blocks = None
     del v._entries
     v._undo = (w, undo, size)
     v.__class__ = _Handed
@@ -487,14 +493,20 @@ def tail_peak(v: SparseVector, start: int, band: float):
     there is no such entry.
 
     Reads v's magnitude heap: after tail_top, only the nodes whose magnitude
-    reaches top - band are visited: a node below that bounds its whole subtree."""
+    reaches top - band are visited: a node below that bounds its whole subtree.
+    So when neither child of the root reaches it, the root, which tail_top has
+    made current, is the only such entry, and no node is visited."""
     top = tail_top(v, start)
     if top is None:
         return None
     nodes = v._heap[1]
     entries = v._entries
     floor = top - band
-    near, stack, size = [], [0], len(nodes)
+    size = len(nodes)
+    if (size < 2 or -nodes[1][0] < floor) and (size < 3 or -nodes[2][0] < floor):
+        i = nodes[0][1]
+        return top, [(i, entries[i])]
+    near, stack = [], [0]
     while stack:
         k = stack.pop()
         neg, i = nodes[k]

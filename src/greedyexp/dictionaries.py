@@ -165,10 +165,17 @@ def _numpy():
     """The numpy module, imported at its first call: the symmetrized basis,
     the engine, the counterexample and the checks run without it. After that
     a call is a global read, not an import statement, so the per-step head
-    query pays next to nothing for it."""
+    query pays next to nothing for it. numpy is an optional dependency, the
+    `dense` extra: without it, the call raises GreedyExpansionError."""
     global _np
     if _np is None:
-        import numpy
+        try:
+            import numpy
+        except ImportError as exc:
+            raise GreedyExpansionError(
+                "this needs numpy, which is not installed: dense dictionaries (finite, augmented "
+                "with extra atoms, pushforward) and the coherence tools take the 'dense' extra, "
+                "pip install 'greedyexp[dense]'") from exc
         _np = numpy
     return _np
 
@@ -261,7 +268,8 @@ class Dictionary(ABC):
     A dictionary whose witness_optional is True also answers
     sup_inner(f, witness=False) with (sup, None), the same sup bit for bit.
     The engine asks that only of such a dictionary, and only for a policy that
-    never reads the witness; every other call passes f alone."""
+    never reads the witness, passing False by position; every other call
+    passes f alone."""
 
     kind: str
     witness_optional = False
@@ -309,12 +317,13 @@ class _Headed(Dictionary):
         so _best returns the value and witness a full scan gives, bit for bit.
 
         witness=False on an empty head gives (sup, None): the tail's top
-        alone, with no search for its witness."""
+        alone, with no search for its witness. On an empty head the tail's
+        answer is the answer, as _best gives it for one candidate; a zero
+        vector raises _best's error either way."""
         head, tail_start = self.head, self.tail_start
         if not (witness or head):
-            # _best raises its error on a zero vector
             top = tail_top(f, tail_start)
-            return _best([] if top is None else [(top, None)])
+            return _best([]) if top is None else (top, None)
         peak = None if tail_start is None else tail_peak(f, tail_start, WITNESS_BAND)
         candidates = []
         if head and not f.is_zero():
@@ -322,9 +331,14 @@ class _Headed(Dictionary):
             candidates = [(inner(f, head[k].vector), head[k]) for k in rows]
         if peak is not None:
             top, near = peak
-            # the smallest id: a positive entry first, then the smallest
-            # index; i is one of f's entries, a valid plain index
-            _, i, x = min((x < 0, i, x) for i, x in near)
+            if len(near) == 1:
+                [(i, x)] = near
+            else:
+                # the smallest id: a positive entry first, then the smallest
+                # index; i is one of f's entries, a valid plain index
+                _, i, x = min((x < 0, i, x) for i, x in near)
+            if not head:
+                return top, basis_atom(i, x)
             candidates.append((top, basis_atom(i, x)))
         return _best(candidates)
 

@@ -24,7 +24,6 @@ import math
 import numbers
 import operator
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
 from typing import Optional
 
 from .core import SparseVector, inner, norm_or_inf, subtract_scaled
@@ -122,9 +121,10 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
     policy = policy if policy is not None else MaxGreedy()
     # a policy that never reads the witness spares a dictionary that can give
     # the sup alone the search for it; any other pair passes the vector alone
-    sup_query = dictionary.sup_inner
+    sup_query = sup_inner = dictionary.sup_inner
     if not getattr(policy, "needs_witness", True) and getattr(dictionary, "witness_optional", False):
-        sup_query = partial(sup_query, witness=False)
+        # a positional call: one with witness=False as a keyword costs more
+        sup_query = lambda f: sup_inner(f, False)
     remainder = SparseVector._trusted(dict(f._entries))
     initial_norm = norm_or_inf(f)
     if not math.isfinite(initial_norm):

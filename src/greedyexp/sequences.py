@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -22,9 +23,12 @@ HEURISTIC_NOTE = (
 )
 
 
-def _check_step(n: int):
-    if n < 1:
-        raise ConfigInvalidError(f"sequence index must be >= 1, got {n}")
+def _check_step(n):
+    """Raise ConfigInvalidError unless n is an integer >= 1, a bool being none,
+    as run's max_steps is checked. Each eval tests a plain int inline and calls
+    this for any other index, so a valid int costs no call."""
+    if not is_number(n, numbers.Integral) or n < 1:
+        raise ConfigInvalidError(f"sequence index must be >= 1 and an integer, got {n!r}")
 
 
 class CoefficientSequence(ABC):
@@ -43,7 +47,8 @@ class Harmonic(CoefficientSequence):
             raise ConfigInvalidError(f"harmonic scale must be positive and finite, got {self.scale}")
 
     def eval(self, n: int) -> float:
-        _check_step(n)
+        if type(n) is not int or n < 1:
+            _check_step(n)
         return self.scale / n
 
 
@@ -61,7 +66,8 @@ class Power(CoefficientSequence):
             raise ConfigInvalidError("power sequence needs finite alpha > 0 and scale > 0")
 
     def eval(self, n: int) -> float:
-        _check_step(n)
+        if type(n) is not int or n < 1:
+            _check_step(n)
         return self.scale * n ** (-self.alpha)
 
 
@@ -77,10 +83,12 @@ class _Listed:
             raise ConfigInvalidError(self._out_of_range)
 
     def eval(self, n: int) -> float:
-        _check_step(n)
-        if n > len(self.values):
-            raise IndexPastEndError(f"explicit sequence has {len(self.values)} terms, asked for term {n}")
-        return self.values[n - 1]
+        values = self.values
+        if type(n) is not int or not 0 < n <= len(values):
+            _check_step(n)
+            if n > len(values):
+                raise IndexPastEndError(f"explicit sequence has {len(values)} terms, asked for term {n}")
+        return values[n - 1]
 
 
 class Explicit(_Listed, CoefficientSequence):
@@ -108,7 +116,8 @@ class ConstantWeakening(WeakeningSequence):
             raise ConfigInvalidError(f"weakening parameter must lie in (0, 1], got {self.t}")
 
     def eval(self, n: int) -> float:
-        _check_step(n)
+        if type(n) is not int or n < 1:
+            _check_step(n)
         return self.t
 
 

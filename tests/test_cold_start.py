@@ -38,6 +38,94 @@ def last_json(proc: subprocess.CompletedProcess):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# what the sitecustomize.py CI puts on PYTHONPATH holds: numpy cannot be
+# imported, as where it is not installed
+BLOCK_NUMPY = """
+import sys
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, NoNumpy())
+"""
+
+
+def run_config(path, dictionary, out):
+    """Write a 50-step Harmonic, t = 1 run config on dictionary to path."""
+    path.write_text(json.dumps({
+        "target": {"inline": [[1, 0.9], [2, -0.4], [3, 0.2]]},
+        "dictionary": dictionary,
+        "coefficients": {"kind": "harmonic"},
+        "weakening": {"kind": "constant_t", "t": 1.0},
+        "max_steps": 50,
+        "outputs": {"trace": str(out), "metadata": str(out) + ".meta.json"}}))
+    return str(path)
+
+
+DENSE_CONFIGS = {
+    "finite": {"kind": "finite", "atoms": [[[1, 1.0]], [[2, 1.0], [3, 0.5]]]},
+    "augmented": {"kind": "augmented_onb", "e_prime": [1, 2], "extra": [[[1, 0.6], [2, 0.8]]]},
+    "pushforward": PUSHED_FINITE,
+    "pushed_basis": {"kind": "pushforward", "matrix": [[1.0]], "base": {"kind": "symmetrized_onb"}},
+}
+
+
+def test_without_numpy_the_basis_runs_and_dense_dictionaries_fail_typed(tmp_path):
+    basis = run_config(tmp_path / "basis.json", {"kind": "symmetrized_onb"}, tmp_path / "cold.csv")
+    dense = [run_config(tmp_path / f"{name}.json", spec, tmp_path / f"{name}.csv")
+             for name, spec in DENSE_CONFIGS.items()]
+    result = last_json(fresh(BLOCK_NUMPY + textwrap.dedent("""
+        import contextlib, io, json
+        from greedyexp import (SparseVector, cli, estimate_coherence, make_augmented_onb,
+                               make_finite, make_symmetrized_onb, pushforward)
+        from greedyexp.errors import GreedyExpansionError
+
+        def main(*argv):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(list(argv))
+            return [code, err.getvalue()]
+
+        out = sys.argv[1]
+        codes = [main("run", "--config", sys.argv[2]),
+                 main("counterexample", "--t", "0.5", "--groups", "3", "--out", out + "/ce.csv"),
+                 main("check", "--trace", out + "/cold.csv"),
+                 main("check", "--trace", out + "/ce.csv")]
+        dense = [main("run", "--config", path) for path in sys.argv[3:]]
+        calls = [lambda: make_finite([SparseVector({1: 1.0})]),
+                 lambda: make_augmented_onb([SparseVector({1: 1.0})], [1]),
+                 lambda: pushforward(make_symmetrized_onb(), [[1.0]]),
+                 lambda: estimate_coherence(make_symmetrized_onb(), 8, 0)]
+        raised = []
+        for call in calls:
+            try:
+                call()
+                raised.append(None)
+            except GreedyExpansionError as exc:
+                raised.append([type(exc).__name__, str(exc)])
+        print(json.dumps([codes, dense, raised, "numpy" in sys.modules]))
+    """), str(tmp_path), basis, *dense))
+    codes, dense_runs, raised, numpy_loaded = result
+    assert not numpy_loaded
+    assert [code for code, _ in codes] == [0, 0, 0, 0]
+    # the same trace bytes as with numpy at hand
+    assert cli.main(["run", "--config", run_config(tmp_path / "warm.json", {"kind": "symmetrized_onb"},
+                                                   tmp_path / "warm.csv")]) == 0
+    assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+    assert cli.main(["counterexample", "--t", "0.5", "--groups", "3",
+                     "--out", str(tmp_path / "warm_ce.csv")]) == 0
+    assert (tmp_path / "ce.csv").read_bytes() == (tmp_path / "warm_ce.csv").read_bytes()
+    for (code, err), path in zip(dense_runs, dense):
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}: this needs numpy")
+        assert "'dense' extra" in err
+    assert None not in raised
+    for kind, message in raised:
+        assert kind == "GreedyExpansionError" and "'dense' extra" in message
+
+
 def test_importing_the_cli_loads_neither_numpy_nor_a_process_pool():
     loaded = last_json(fresh("""
         import json, sys

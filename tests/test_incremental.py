@@ -30,6 +30,7 @@ from greedyexp.core import (
 from greedyexp.dictionaries import (
     WITNESS_BAND,
     MaxGreedy,
+    _best,
     _Headed,
     basis_atom,
     dictionary_from_config,
@@ -39,7 +40,7 @@ from greedyexp.dictionaries import (
     make_symmetrized_onb,
 )
 from greedyexp.engine import Trace, reconstruct, run, write_trace_csv
-from greedyexp.errors import ConfigInvalidError, EmptyVectorError
+from greedyexp.errors import ConfigInvalidError, EmptyVectorError, GreedyExpansionError
 from greedyexp.sequences import ConstantWeakening, Explicit, Power
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -248,6 +249,22 @@ def heap_select(f, start):
     return top, min((0 if x > 0 else 1, i) for i, x in near)
 
 
+def scan_peak(f, start):
+    """tail_peak's answer by a full scan, its entries in index order."""
+    tail = [(i, x) for i, x in f.items() if i >= start]
+    if not tail:
+        return None
+    top = max(abs(x) for _, x in tail)
+    return top, sorted((i, x) for i, x in tail if abs(x) >= top - WITNESS_BAND)
+
+
+def heap_peak(f, start):
+    # an entry whose sign flipped at the same magnitude has two current
+    # nodes, so the walk may list it twice
+    peak = tail_peak(f, start, WITNESS_BAND)
+    return None if peak is None else (peak[0], sorted(set(peak[1])))
+
+
 # planted near-ties: a base magnitude plus offsets just below and just above
 # WITNESS_BAND, and the same magnitude with the opposite sign
 GAPS = st.sampled_from([0.0, 1e-13, 4.9e-13, 5e-13, 5.1e-13, 1e-12, -1e-13, -5.1e-13])
@@ -286,11 +303,98 @@ def test_heap_selection_equals_two_pass_scan(base, draws, start, updates):
         assert_selects_like_scan(f, start)
 
 
+def assert_peaks_like_scan(f, start):
+    # every entry within the band, not just the witness: the root alone
+    # exactly when no other entry comes within it
+    assert heap_peak(f, start) == scan_peak(f, start)
+    assert_selects_like_scan(f, start)
+
+
+@PROPERTY
+@given(st.floats(min_value=1e-3, max_value=10.0), TIED, st.sampled_from([1, 2, 17, 40]), TIED)
+def test_heap_peak_lists_the_band_like_a_scan(base, draws, start, updates):
+    f = tied_vector(base, draws)
+    assert_peaks_like_scan(f, start)
+    for i, level, gap, sign in updates[:12]:
+        new = tied_vector(base, [(i, level, gap, sign)]).get(i) if level else 0.0
+        f = subtract_scaled(f, 1.0, SparseVector({i: f.get(i) - new}))
+        assert_peaks_like_scan(f, start)
+
+
 def test_heap_finds_band_witness_below_top():
     f = SparseVector({9: 0.75 + 1e-13, 3: -0.75, 5: 0.75, 2: 0.75 - 1e-12})
     assert heap_select(f, 1) == (0.75 + 1e-13, (0, 5))
     assert heap_select(f, 6) == (0.75 + 1e-13, (0, 9))
     assert heap_select(f, 10) is None
+
+
+@pytest.mark.parametrize("entries", [
+    {3: -2.0},
+    {3: -2.0, 5: 1.0},
+    {3: -2.0, 5: 2.0 - 1e-13},
+    {3: 2.0 - 6e-13, 5: -2.0},
+    {1: math.inf, 2: 5.0},
+    {1: math.inf, 2: -math.inf},
+    {1: -math.inf, 2: 1e308, 3: math.inf},
+], ids=["one", "two", "two-in-band", "two-past-band", "inf", "inf-pair", "inf-pair-below"])
+def test_small_heaps_and_infinite_tops_peak_like_a_scan(entries):
+    # heaps of one and two nodes, where a child is missing or alone; an
+    # infinite top's band floor is inf, so only infinite entries join it
+    assert_peaks_like_scan(SparseVector(entries), 1)
+
+
+def test_stale_child_in_the_band_falls_through_to_the_walk():
+    # the root's child is a stale node whose old magnitude reaches the band
+    # floor, and below it sits a current entry inside the band: the peak must
+    # walk past the stale node to find it, and that entry is the witness
+    near = 1.0 - 1e-13
+    f = SparseVector({1: -1.0, 2: near})
+    tail_peak(f, 1, WITNESS_BAND)
+    f = subtract_scaled(f, 1.0, SparseVector({2: near - 0.5, 3: -(1.0 - 2e-13)}))
+    assert f._heap[1][:4] == [(-1.0, 1), (-near, 2), (-0.5, 2), (-(1.0 - 2e-13), 3)]
+    assert heap_peak(f, 1) == (1.0, [(1, -1.0), (3, 1.0 - 2e-13)])
+    assert_peaks_like_scan(f, 1)
+    assert make_symmetrized_onb().sup_inner(f) == (1.0, basis_atom(3, 1.0))
+
+
+def scan_answer(f, witness):
+    """The signed basis's answer by _best over a full scan of its atoms: the
+    value's bits and the witness (None without one), or the error type."""
+    candidates = [(s * x, basis_atom(i, s)) for i, x in f.items() for s in (1.0, -1.0)]
+    try:
+        top, atom = _best(candidates)
+    except GreedyExpansionError as exc:
+        return type(exc)
+    return top.hex(), atom if witness else None
+
+
+def basis_answer(d, f, witness):
+    try:
+        top, atom = d.sup_inner(f, witness=witness)
+    except GreedyExpansionError as exc:
+        return type(exc)
+    return top.hex(), atom
+
+
+EMPTY_HEADS = [make_symmetrized_onb(), make_augmented_onb([], [])]
+
+
+@PROPERTY
+@given(st.floats(min_value=1e-3, max_value=10.0), TIED, TIED, st.booleans())
+def test_empty_heads_answer_as_best_over_a_full_scan(base, draws, updates, witness_first):
+    # both dictionaries, both modes, on heaps carried through steps that
+    # add, replace and remove entries, down to the zero vector
+    f = tied_vector(base, draws)
+    for i, level, gap, sign in updates[:12] + [(i, 0, 0.0, 1.0) for i in range(1, 61)]:
+        for d in EMPTY_HEADS:
+            for witness in (witness_first, not witness_first):
+                assert basis_answer(d, f, witness) == scan_answer(f, witness)
+        new = tied_vector(base, [(i, level, gap, sign)]).get(i) if level else 0.0
+        f = subtract_scaled(f, 1.0, SparseVector({i: f.get(i) - new}))
+    assert f.is_zero()
+    for d in EMPTY_HEADS:
+        for witness in (True, False):
+            assert basis_answer(d, f, witness) is EmptyVectorError
 
 
 def test_stale_heap_nodes_are_rebuilt_past_twice_the_support():

@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from greedyexp.errors import ConfigInvalidError, IndexPastEndError
@@ -76,11 +77,32 @@ def test_sequences_reject_non_finite(build):
         build()
 
 
-@pytest.mark.parametrize("seq", [Harmonic(), Power(0.8), Explicit([0.5]),
-                                 ConstantWeakening(0.5), ExplicitWeakening([0.5])])
-def test_every_sequence_rejects_step_zero(seq):
-    with pytest.raises(ConfigInvalidError):
-        seq.eval(0)
+EVERY_SEQUENCE = [Harmonic(), Power(0.8), Explicit([1.0, 0.5]), ConstantWeakening(0.5),
+                  ExplicitWeakening([1.0, 0.5])]
+
+
+@pytest.mark.parametrize("n", [0, -1, 0.5, 2.0, True, False])
+@pytest.mark.parametrize("seq", EVERY_SEQUENCE)
+def test_every_sequence_rejects_an_index_that_is_no_integer_from_1(seq, n):
+    # as run's max_steps: a float, even 2.0, and a bool are no index; before,
+    # Harmonic().eval(2.0) gave 0.5, Explicit([1.0, 0.5]).eval(2.0) raised a
+    # raw TypeError and every sequence took True as index 1
+    with pytest.raises(ConfigInvalidError) as info:
+        seq.eval(n)
+    assert str(info.value) == f"sequence index must be >= 1 and an integer, got {n!r}"
+
+
+@pytest.mark.parametrize("seq", EVERY_SEQUENCE)
+def test_every_sequence_takes_integer_indices_numpy_ones_too(seq):
+    assert [seq.eval(np.int64(n)) for n in (1, 2)] == [seq.eval(1), seq.eval(2)]
+
+
+@pytest.mark.parametrize("seq", [Explicit([1.0, 0.5]), ExplicitWeakening([1.0, 0.5])])
+@pytest.mark.parametrize("n", [3, np.int64(3), 10 ** 30])
+def test_explicit_sequences_end_one_past_their_last_term(seq, n):
+    with pytest.raises(IndexPastEndError) as info:
+        seq.eval(n)
+    assert str(info.value) == f"explicit sequence has 2 terms, asked for term {n}"
 
 
 @pytest.mark.parametrize("seq", [Harmonic(), Harmonic(0.3), Power(0.4), Power(0.8, 2.0)])
