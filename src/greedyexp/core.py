@@ -62,7 +62,7 @@ import heapq
 import math
 from typing import Iterable, Iterator, Tuple, Union
 
-from .errors import ConfigInvalidError, GreedyExpansionError, to_float
+from .errors import ConfigInvalidError, GreedyExpansionError, number
 
 Index = Union[int, Tuple[int, int]]
 
@@ -100,15 +100,13 @@ class SparseVector:
         self._square_sum = self._heap = self._blocks = None
 
     @classmethod
-    def _trusted(cls, entries: dict, square_sum=None, heap=None) -> "SparseVector":
+    def _trusted(cls, entries: dict) -> "SparseVector":
         """Package-internal constructor for entries that already satisfy the
         invariant: validated indices and nonzero float values. The dict is
         adopted, not copied."""
         v = object.__new__(cls)
         v._entries = entries
-        v._square_sum = square_sum
-        v._heap = heap
-        v._blocks = None
+        v._square_sum = v._heap = v._blocks = None
         return v
 
     @classmethod
@@ -171,7 +169,9 @@ class SparseVector:
 def _clean(pairs) -> dict:
     """The entry dict of (index, value) pairs: each index validated once (a
     list read as a tuple, a repeat a ValueError), each value a float by
-    errors.to_float, exact zeros dropped."""
+    errors.number (a bool or a string raises ConfigInvalidError naming its
+    entry), exact zeros dropped. Every outside vector comes through here:
+    SparseVector(...), from_pairs and from_json."""
     entries = {}
     for index, value in pairs:
         if isinstance(index, list):
@@ -179,7 +179,7 @@ def _clean(pairs) -> dict:
         validate_index(index)
         if index in entries:
             raise ValueError(f"duplicate coordinate index {index!r}")
-        entries[index] = value if type(value) is float else to_float(value, f"entry {index!r}")
+        entries[index] = value if type(value) is float else number(value, f"entry {index!r}")
     return {i: x for i, x in entries.items() if x != 0.0}
 
 

@@ -30,14 +30,13 @@ coefficients within a couple of ulps of 1/sqrt(h) and the marks flag cleared.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 from .core import SparseVector
 from .dictionaries import Scripted, SymmetrizedOnb
 from .engine import Trace, run
-from .errors import ConfigInvalidError, PlanConstructionError, is_number, to_float
+from .errors import ConfigInvalidError, PlanConstructionError, number
 from .sequences import ConstantWeakening, Explicit
 
 _TUNE_ULPS = 8
@@ -48,28 +47,27 @@ _TUNE_ULPS = 8
 K_CEILING = 10_000
 
 
-def _check_t(t):
-    if not is_number(t):
-        raise ConfigInvalidError(f"weakening parameter must be a real number, got {t!r}")
+def _check_t(t) -> float:
+    """t as a float by errors.number, if it lies in (0, 1)."""
+    t = number(t, "weakening parameter")
     if not 0.0 < t < 1.0:
         raise ConfigInvalidError(f"weakening parameter must lie in (0, 1), got {t}")
+    return t
 
 
 @dataclass(frozen=True)
 class CounterexampleConfig:
-    """t a real number in (0, 1); k and num_groups integers, not bools, that
-    a float can hold."""
+    """t a real number in (0, 1), stored as a float; k and num_groups
+    integers, not bools, that a float can hold."""
 
     t: float
     k: int
     num_groups: int
 
     def __post_init__(self):
-        _check_t(self.t)
-        for name, value in (("group parameter k", self.k), ("num_groups", self.num_groups)):
-            if not is_number(value, numbers.Integral):
-                raise ConfigInvalidError(f"{name} must be an integer, got {value!r}")
-            to_float(value, name)
+        object.__setattr__(self, "t", _check_t(self.t))
+        number(self.k, "group parameter k", integer=True)
+        number(self.num_groups, "num_groups", integer=True)
         if self.k <= 1:
             raise ConfigInvalidError(f"group parameter k must exceed 1, got {self.k}")
         if not self.t ** self.k < 1.0 / math.sqrt(self.k):
@@ -109,7 +107,7 @@ def choose_k(t: float) -> int:
     """Smallest k > 1 with t^k < 1/sqrt(k) and k > t^2/(1-t^2). A t that
     needs k > K_CEILING raises ConfigInvalidError, as does a t that is no
     real number in (0, 1)."""
-    _check_t(t)
+    t = _check_t(t)
     k = 2
     while not (t ** k < 1.0 / math.sqrt(k) and k > t ** 2 / (1.0 - t ** 2)):
         k += 1

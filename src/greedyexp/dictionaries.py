@@ -54,6 +54,7 @@ from .errors import (
     SupportOutsideEPrimeError,
     UnknownAtomError,
     ZeroAtomError,
+    number,
     parse_tagged,
 )
 
@@ -88,16 +89,18 @@ class Atom:
 
 @dataclass(frozen=True)
 class CoherenceEstimate:
-    """Sampled upper bound for the coherence-type constant of a finite dictionary."""
+    """Sampled upper bound for the coherence-type constant of a finite
+    dictionary: value a real number, stored as a float, samples an integer."""
 
     value: float
     samples: int
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "value", number(self.value, "coherence estimate"))
         if not (0.0 < self.value <= 1.0 + 1e-12):
             raise ConfigInvalidError(f"coherence estimate must lie in (0, 1], got {self.value}")
-        if self.samples < 1:
+        if number(self.samples, "samples", integer=True) < 1:
             raise ConfigInvalidError("coherence estimate needs at least one sample")
 
 
@@ -626,7 +629,7 @@ def estimate_coherence(dictionary: Dictionary, samples: int, seed: int) -> Coher
     the minimum of the sup of inner products. Heuristic: the true constant is
     a minimum over the whole sphere, so the sampled value can only overshoot.
     """
-    if samples < 1:
+    if number(samples, "samples", integer=True) < 1:
         raise ConfigInvalidError("estimate_coherence needs samples >= 1")
     np = _numpy()
     mat = atom_matrix(dictionary)

@@ -37,7 +37,7 @@ from .errors import (
     PreconditionUnmetError,
     UnknownAtomError,
     is_number,
-    to_float,
+    number,
 )
 
 
@@ -112,10 +112,10 @@ def run(f: SparseVector, dictionary: Dictionary, coefficients, weakening,
     """
     if not is_number(max_steps, numbers.Integral) or max_steps < 0:
         raise ConfigInvalidError(f"max_steps must be an integer >= 0, got {max_steps!r}")
-    to_float(max_steps, "max_steps")
+    number(max_steps, "max_steps", integer=True)
     where = "(a run config's early_exit_threshold)"
     if stop_below is not None and not (
-            is_number(stop_below) and not math.isnan(to_float(stop_below, f"stop_below {where}"))):
+            is_number(stop_below) and not math.isnan(number(stop_below, f"stop_below {where}"))):
         raise ConfigInvalidError(
             f"stop_below must be a real number, not NaN, got {stop_below!r} {where}")
     policy = policy if policy is not None else MaxGreedy()

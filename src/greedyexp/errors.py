@@ -1,4 +1,10 @@
-"""Exception types shared across the package, and the config rules that raise them."""
+"""Exception types shared across the package, and the rules that raise them.
+
+One number rule holds for every number the package stores: number() admits
+an int or a float (numpy's numbers too), never a bool or a string, and gives
+a float. The types that store numbers, vector entries and sequence
+parameters among them, apply it themselves, so a library call and a config
+are checked alike and a config parser only routes values to them."""
 
 import numbers
 
@@ -54,10 +60,15 @@ def is_number(value, kind=numbers.Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def to_float(value, name: str) -> float:
-    """float(value) for a number by is_number. An integer too large for a
-    float (401 digits, say), which float() and the math module refuse with
-    OverflowError, raises ConfigInvalidError naming it instead."""
+def number(value, name: str, integer: bool = False) -> float:
+    """float(value) for a real number (an integer, if integer) by is_number;
+    anything else, a bool or a string included, raises ConfigInvalidError
+    saying what name must be. So does an integer too large for a float (401
+    digits, say), which float() and the math module refuse with
+    OverflowError."""
+    kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a real number")
+    if not is_number(value, kind):
+        raise ConfigInvalidError(f"{name} must be {what}, got {value!r}")
     try:
         return float(value)
     except OverflowError as exc:

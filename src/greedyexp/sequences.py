@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import ConfigInvalidError, IndexPastEndError, is_number, parse_tagged, to_float
+from .errors import ConfigInvalidError, IndexPastEndError, is_number, number, parse_tagged
 
 HEURISTIC_NOTE = (
     "divergence/vanishing flags are doubling-checkpoint heuristics over a finite "
@@ -32,7 +32,10 @@ def _check_step(n):
 
 
 class CoefficientSequence(ABC):
-    """Evaluator n -> c_n > 0 for n >= 1."""
+    """Evaluator n -> c_n > 0 for n >= 1. Each sequence stores its parameters
+    as floats by errors.number, so a bool or a string is refused and 1 and 1.0
+    give the same trace bytes, whether the sequence comes from a config or a
+    library call."""
 
     @abstractmethod
     def eval(self, n: int) -> float: ...
@@ -43,6 +46,7 @@ class Harmonic(CoefficientSequence):
     scale: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "scale", number(self.scale, "scale"))
         if not 0.0 < self.scale < math.inf:
             raise ConfigInvalidError(f"harmonic scale must be positive and finite, got {self.scale}")
 
@@ -62,6 +66,8 @@ class Power(CoefficientSequence):
     scale: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", number(self.alpha, "alpha"))
+        object.__setattr__(self, "scale", number(self.scale, "scale"))
         if not (0.0 < self.alpha < math.inf and 0.0 < self.scale < math.inf):
             raise ConfigInvalidError("power sequence needs finite alpha > 0 and scale > 0")
 
@@ -72,13 +78,15 @@ class Power(CoefficientSequence):
 
 
 class _Listed:
-    """A sequence given by its list of values, term n at values[n - 1]. A
-    subclass sets its range rule _admits and the message of a value outside
-    it, and binds eval in its own body: the benchmark's tracer wraps each
-    class's own eval."""
+    """A sequence given by its list of values, term n at values[n - 1], each
+    a float by errors.number (a float is taken as it is: a plan's list holds
+    thousands). A subclass sets its range rule _admits and the message of a
+    value outside it, and binds eval in its own body: the benchmark's tracer
+    wraps each class's own eval."""
 
     def __init__(self, values: Sequence[float]):
-        self.values = [float(v) for v in values]
+        self.values = [v if type(v) is float else number(v, f"values[{j}]")
+                       for j, v in enumerate(values)]
         if not all(map(self._admits, self.values)):
             raise ConfigInvalidError(self._out_of_range)
 
@@ -112,6 +120,7 @@ class ConstantWeakening(WeakeningSequence):
     t: float
 
     def __post_init__(self):
+        object.__setattr__(self, "t", number(self.t, "t"))
         if not 0.0 < self.t <= 1.0:
             raise ConfigInvalidError(f"weakening parameter must lie in (0, 1], got {self.t}")
 
@@ -178,16 +187,9 @@ def check_conditions(coefficients: CoefficientSequence, weakening: WeakeningSequ
 # ---------------------------------------------------------------------------
 
 
-def _real(value, name: str) -> float:
-    """A config's number as a float: an int or a float, not a bool or a string."""
-    if not is_number(value):
-        raise ConfigInvalidError(f"{name} must be a real number, got {value!r}")
-    return to_float(value, name)
-
-
-def _explicit_values(spec: dict) -> list:
+def _explicit_values(spec: dict):
     if "values" in spec:
-        return [_real(v, f"values[{j}]") for j, v in enumerate(spec["values"])]
+        return spec["values"]
     if "file" in spec:
         with open(spec["file"], newline="") as fh:
             return [float(row[0]) for row in csv.reader(fh) if row]
@@ -195,14 +197,13 @@ def _explicit_values(spec: dict) -> list:
 
 
 _COEFFICIENT_BUILDERS = {
-    "harmonic": lambda spec: Harmonic(scale=_real(spec.get("scale", 1.0), "scale")),
-    "power": lambda spec: Power(alpha=_real(spec["alpha"], "alpha"),
-                                scale=_real(spec.get("scale", 1.0), "scale")),
+    "harmonic": lambda spec: Harmonic(spec.get("scale", 1.0)),
+    "power": lambda spec: Power(spec["alpha"], spec.get("scale", 1.0)),
     "explicit": lambda spec: Explicit(_explicit_values(spec)),
 }
 
 _WEAKENING_BUILDERS = {
-    "constant_t": lambda spec: ConstantWeakening(t=_real(spec["t"], "t")),
+    "constant_t": lambda spec: ConstantWeakening(spec["t"]),
     "explicit": lambda spec: ExplicitWeakening(_explicit_values(spec)),
 }
 

@@ -129,12 +129,19 @@ def test_run_threshold_that_is_no_finite_number_exits_1(tmp_path, capsys, text, 
     assert not (tmp_path / "config.json.trace.csv").exists()
 
 
-def test_run_target_file_with_a_non_finite_constant_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("text,message", [
+    ("[[1, 0.5], [2, NaN]]", "non-finite number NaN in JSON"),
+    ('[[1, 0.5], [2, "0.9"]]', "entry 2 must be a real number, got '0.9'"),
+    ("[[1, true]]", "entry 1 must be a real number, got True"),
+    ("[[1, 0.5], [2, false]]", "entry 2 must be a real number, got False"),
+], ids=["nan", "str", "true", "false"])
+def test_run_target_file_with_an_entry_that_is_no_finite_number_exits_1(tmp_path, capsys,
+                                                                         text, message):
     target = tmp_path / "target.json"
-    target.write_text("[[1, 0.5], [2, NaN]]")
+    target.write_text(text)
     path, _ = write_config(tmp_path, target={"file": str(target)})
     assert main(["run", "--config", str(path)]) == 1
-    assert capsys.readouterr() == ("", f"error: {path}: non-finite number NaN in JSON\n")
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
 @pytest.mark.parametrize("spec,message", [
@@ -155,9 +162,13 @@ def test_run_target_file_with_a_non_finite_constant_exits_1(tmp_path, capsys):
     ({"counterexample": {"t": 0.5, "groups": 10 ** 400}},
      "num_groups is an integer too large for a float"),
     ({"inline": [[1, 0.5], [2, 10 ** 400]]}, "entry 2 is an integer too large for a float"),
+    # a false entry is refused, not dropped as a zero would be
+    ({"inline": [[1, "0.9"]]}, "entry 1 must be a real number, got '0.9'"),
+    ({"inline": [[1, 0.5], [2, True]]}, "entry 2 must be a real number, got True"),
+    ({"inline": [[1, 0.5], [2, False]]}, "entry 2 must be a real number, got False"),
 ], ids=["no_object", "no_source", "t_near_one", "groups_float", "groups_bool", "groups_str",
         "groups_huge_float", "k_huge_float", "t_str", "k_huge_int", "groups_huge_int",
-        "inline_huge_int"])
+        "inline_huge_int", "inline_str", "inline_true", "inline_false"])
 def test_run_bad_target_spec_exits_1(tmp_path, capsys, spec, message):
     path, _ = write_config(tmp_path, target=spec)
     assert main(["run", "--config", str(path)]) == 1
@@ -661,27 +672,41 @@ def test_check_finite_run_descent_advisory_output_pinned(finite_trace, tmp_path,
         "descent_inequality", False, 2)
 
 
-@pytest.mark.parametrize("dictionary", [
-    {"kind": "finite", "atoms": 5},
-    {"kind": "finite", "atoms": [[[0, 1.0]]]},
-    {"kind": "finite", "atoms": [[[1, "x"]]]},
-    {"kind": "augmented_onb", "extra": 5, "e_prime": [1]},
-    {"kind": "augmented_onb", "extra": [[[0, 1.0]]], "e_prime": [1]},
-    {"kind": "augmented_onb", "extra": [[[1, "x"]]], "e_prime": [1]},
-    {"kind": "direct_sum", "components": [{"kind": "symmetrized_onb"},
-                                          {"kind": "finite", "atoms": 5}]},
-    {"kind": "direct_sum", "components": [{"kind": "finite", "atoms": [[[0, 1.0]]]}]},
-    {"kind": "direct_sum", "components": [{"kind": "augmented_onb", "extra": [[[1, "x"]]],
-                                           "e_prime": [1]}]},
-], ids=["finite_not_list", "finite_index_0", "finite_non_numeric",
-        "augmented_not_list", "augmented_index_0", "augmented_non_numeric",
-        "sum_finite_not_list", "sum_finite_index_0", "sum_augmented_non_numeric"])
-def test_run_malformed_atom_list_exits_1(tmp_path, capsys, dictionary):
+BAD_SPEC = "bad dictionary spec: "
+# an entry that is no number is refused by the vector it would be stored in,
+# with the message a target's entry gets
+NOT_REAL = "entry 1 must be a real number, got "
+
+
+@pytest.mark.parametrize("dictionary,message", [
+    ({"kind": "finite", "atoms": 5}, BAD_SPEC),
+    ({"kind": "finite", "atoms": [[[0, 1.0]]]}, BAD_SPEC),
+    ({"kind": "finite", "atoms": [[[1, "x"]]]}, NOT_REAL + "'x'"),
+    ({"kind": "finite", "atoms": [[[1, "0.9"]]]}, NOT_REAL + "'0.9'"),
+    ({"kind": "finite", "atoms": [[[1, 1.0]], [[1, True]]]}, NOT_REAL + "True"),
+    ({"kind": "finite", "atoms": [[[1, 1.0]], [[1, False], [2, 1.0]]]}, NOT_REAL + "False"),
+    ({"kind": "augmented_onb", "extra": 5, "e_prime": [1]}, BAD_SPEC),
+    ({"kind": "augmented_onb", "extra": [[[0, 1.0]]], "e_prime": [1]}, BAD_SPEC),
+    ({"kind": "augmented_onb", "extra": [[[1, "x"]]], "e_prime": [1]}, NOT_REAL + "'x'"),
+    ({"kind": "augmented_onb", "extra": [[[1, "0.9"]]], "e_prime": [1]}, NOT_REAL + "'0.9'"),
+    ({"kind": "augmented_onb", "extra": [[[1, True]]], "e_prime": [1]}, NOT_REAL + "True"),
+    ({"kind": "augmented_onb", "extra": [[[1, False], [2, 1.0]]], "e_prime": [1, 2]},
+     NOT_REAL + "False"),
+    ({"kind": "direct_sum", "components": [{"kind": "symmetrized_onb"},
+                                           {"kind": "finite", "atoms": 5}]}, BAD_SPEC),
+    ({"kind": "direct_sum", "components": [{"kind": "finite", "atoms": [[[0, 1.0]]]}]}, BAD_SPEC),
+    ({"kind": "direct_sum", "components": [{"kind": "augmented_onb", "extra": [[[1, "x"]]],
+                                            "e_prime": [1]}]}, NOT_REAL + "'x'"),
+], ids=["finite_not_list", "finite_index_0", "finite_non_numeric", "finite_str", "finite_true",
+        "finite_false", "augmented_not_list", "augmented_index_0", "augmented_non_numeric",
+        "augmented_str", "augmented_true", "augmented_false", "sum_finite_not_list",
+        "sum_finite_index_0", "sum_augmented_non_numeric"])
+def test_run_malformed_atom_list_exits_1(tmp_path, capsys, dictionary, message):
     path, config = write_config(tmp_path, dictionary=dictionary)
     assert main(["run", "--config", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"error: {path}: bad dictionary spec: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
     assert not (tmp_path / "config.json.trace.csv").exists()
 
 

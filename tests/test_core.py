@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,7 @@ from greedyexp.core import (
     norm,
     subtract_scaled,
 )
+from greedyexp.errors import ConfigInvalidError
 
 
 def e(i, sign=1.0):
@@ -132,6 +134,17 @@ def test_duplicate_index_rejected():
 def test_bad_indices_rejected(bad):
     with pytest.raises((TypeError, ValueError)):
         SparseVector({bad: 1.0})
+
+
+@pytest.mark.parametrize("value", ["0.9", True, False, None])
+def test_entries_that_are_no_real_numbers_rejected(value):
+    # a false entry is refused, not dropped as a zero is
+    message = f"^{re.escape(f'entry (1, 2) must be a real number, got {value!r}')}$"
+    for make in (lambda: SparseVector({1: 0.5, (1, 2): value}),
+                 lambda: SparseVector.from_pairs([(1, 0.5), ((1, 2), value)]),
+                 lambda: SparseVector.from_json([[1, 0.5], [[1, 2], value]])):
+        with pytest.raises(ConfigInvalidError, match=message):
+            make()
 
 
 def test_block_indices_order_block_first():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -548,6 +549,27 @@ def test_coherence_needs_a_sample():
         CoherenceEstimate(0.5, samples=0, seed=0)
     with pytest.raises(ConfigInvalidError, match="needs samples >= 1"):
         estimate_coherence(make_finite([dense([1])]), samples=0, seed=0)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: CoherenceEstimate(True, 1, 0), "coherence estimate must be a real number, got True"),
+    (lambda: CoherenceEstimate("0.5", 1, 0),
+     "coherence estimate must be a real number, got '0.5'"),
+    (lambda: CoherenceEstimate(0.5, True, 0), "samples must be an integer, got True"),
+    (lambda: CoherenceEstimate(0.5, 1.0, 0), "samples must be an integer, got 1.0"),
+    (lambda: estimate_coherence(make_finite([dense([1])]), 2.5, 0),
+     "samples must be an integer, got 2.5"),
+    (lambda: estimate_coherence(make_finite([dense([1])]), True, 0),
+     "samples must be an integer, got True"),
+], ids=["value_bool", "value_str", "samples_bool", "samples_float", "estimate_float",
+        "estimate_bool"])
+def test_coherence_numbers_follow_the_number_rule(make, message):
+    with pytest.raises(ConfigInvalidError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_coherence_value_is_stored_as_a_float():
+    assert type(CoherenceEstimate(1, 1, 0).value) is float
 
 
 def test_atom_id_str_refuses_an_unknown_kind():

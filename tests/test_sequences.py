@@ -4,6 +4,10 @@ import re
 import numpy as np
 import pytest
 
+from greedyexp.core import SparseVector
+from greedyexp.dictionaries import make_symmetrized_onb
+from greedyexp.engine import (read_trace_csv, read_trace_json, run, write_trace_csv,
+                              write_trace_json)
 from greedyexp.errors import ConfigInvalidError, IndexPastEndError
 from greedyexp.sequences import (
     ConstantWeakening,
@@ -172,6 +176,13 @@ def test_coefficients_from_config():
         coefficients_from_config({})
 
 
+def library(cls):
+    """The class called on a spec's parameters, as a library caller would."""
+    return lambda spec: cls(**spec)
+
+
+# each sequence stores its numbers by the one rule itself: a library call is
+# refused with the message its config gets
 @pytest.mark.parametrize("parse,spec,message", [
     (weakening_from_config, {"kind": "constant_t", "t": True}, "t must be a real number, got True"),
     (coefficients_from_config, {"kind": "harmonic", "scale": True},
@@ -192,11 +203,43 @@ def test_coefficients_from_config():
      "scale is an integer too large for a float"),
     (weakening_from_config, {"kind": "explicit", "values": [10 ** 400]},
      "values[0] is an integer too large for a float"),
+    (library(ConstantWeakening), {"t": True}, "t must be a real number, got True"),
+    (library(ConstantWeakening), {"t": "1"}, "t must be a real number, got '1'"),
+    (library(Harmonic), {"scale": False}, "scale must be a real number, got False"),
+    (library(Harmonic), {"scale": "2"}, "scale must be a real number, got '2'"),
+    (library(Power), {"alpha": True}, "alpha must be a real number, got True"),
+    (library(Power), {"alpha": 0.75, "scale": "1"}, "scale must be a real number, got '1'"),
+    (library(Explicit), {"values": [0.5, True]}, "values[1] must be a real number, got True"),
+    (library(ExplicitWeakening), {"values": ["0.5"]},
+     "values[0] must be a real number, got '0.5'"),
 ], ids=["constant_t_bool", "harmonic_bool", "harmonic_str", "power_str", "power_scale_bool",
-        "explicit_bool", "explicit_str", "explicit_none", "harmonic_huge_int", "explicit_huge_int"])
+        "explicit_bool", "explicit_str", "explicit_none", "harmonic_huge_int", "explicit_huge_int",
+        "lib_constant_t_bool", "lib_constant_t_str", "lib_harmonic_bool", "lib_harmonic_str",
+        "lib_power_bool", "lib_power_scale_str", "lib_explicit_bool", "lib_weakening_str"])
 def test_spec_numbers_are_real_numbers_not_bools_or_strings(parse, spec, message):
     with pytest.raises(ConfigInvalidError, match=f"^{re.escape(message)}$"):
         parse(spec)
+
+
+@pytest.mark.parametrize("twins", [
+    ((Harmonic(1), ConstantWeakening(1)), (Harmonic(1.0), ConstantWeakening(1.0))),
+    ((Power(1, 1), ConstantWeakening(1)), (Power(1.0, 1.0), ConstantWeakening(1.0))),
+    ((Explicit([1, 1, 1]), ExplicitWeakening([1, 1, 1])),
+     (Explicit([1.0, 1.0, 1.0]), ExplicitWeakening([1.0, 1.0, 1.0]))),
+], ids=["harmonic", "power", "explicit"])
+def test_int_parameters_write_the_bytes_of_their_float_twins(tmp_path, twins):
+    # an int parameter is stored as a float, so a library run's traces match
+    # byte for byte, and its JSON trace reads back
+    target = SparseVector({1: 0.9, 2: -0.4})
+    texts = []
+    for name, (c, t) in zip(("int", "float"), twins):
+        trace = run(target, make_symmetrized_onb(), c, t, max_steps=3)
+        write_trace_csv(trace, str(tmp_path / f"{name}.csv"))
+        write_trace_json(trace, str(tmp_path / f"{name}.json"))
+        assert (read_trace_json(str(tmp_path / f"{name}.json")).steps
+                == read_trace_csv(str(tmp_path / f"{name}.csv")).steps)
+        texts.append([(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("csv", "json")])
+    assert texts[0] == texts[1]
 
 
 def test_explicit_from_csv(tmp_path):
