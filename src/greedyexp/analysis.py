@@ -17,7 +17,7 @@ from typing import Optional
 
 from .dictionaries import CoherenceEstimate
 from .engine import Trace
-from .errors import ConfigInvalidError, PreconditionUnmetError
+from .errors import ConfigInvalidError, PreconditionUnmetError, number
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,14 @@ def _worst_step(name: str, trace: Trace, steps: list, violations: list,
     """The one-check report of violations[i], observed at step steps[i]: the
     first largest violation is the worst, a NaN is worse than any number, and
     the check passes when the worst is at most tol. A tol that is not finite
-    and >= 0 raises ConfigInvalidError; an empty trace raises
-    PreconditionUnmetError."""
+    and >= 0, a bool or a string included (the number rule), raises
+    ConfigInvalidError; an empty trace raises PreconditionUnmetError."""
+    what = name.replace("_", " ")
+    tol = number(tol, f"{what} tolerance")
     if not (math.isfinite(tol) and tol >= 0.0):
-        raise ConfigInvalidError(
-            f"{name.replace('_', ' ')} tolerance must be finite and >= 0, got {tol}")
+        raise ConfigInvalidError(f"{what} tolerance must be finite and >= 0, got {tol}")
     if not trace.steps:
-        raise PreconditionUnmetError(f"{name.replace('_', ' ')} needs a nonempty trace")
+        raise PreconditionUnmetError(f"{what} needs a nonempty trace")
     worst, at = 0.0, None
     for m, violation in zip(steps, violations):
         # a NaN fails `violation <= worst`; once worst is NaN, it stays
@@ -100,9 +101,10 @@ def verify_descent_inequality(trace: Trace, c_est: CoherenceEstimate, epsilon: f
     condition t_m > 0, c_m/t_m < epsilon and c_m < epsilon/c beyond from_step.
     With the true coherence constant the bound cannot fail on a sound trace; a
     sampled estimate only upper-bounds that constant, so failures under an
-    estimate are advisory. An epsilon that is not finite and > 0 raises
-    ConfigInvalidError.
+    estimate are advisory. An epsilon that is not finite and > 0, a bool or a
+    string included (the number rule), raises ConfigInvalidError.
     """
+    epsilon = number(epsilon, "epsilon")
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ConfigInvalidError(f"epsilon must be finite and > 0, got {epsilon}")
     threshold = epsilon / c_est.value

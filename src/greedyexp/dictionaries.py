@@ -149,16 +149,20 @@ def _best(candidates: list) -> tuple:
         raise EmptyVectorError("sup over a symmetric dictionary needs a nonzero vector")
     if len(candidates) == 1:
         return candidates[0]
-    top = max(value for value, _ in candidates)
-    winner = min((atom for value, atom in candidates if value >= top - WITNESS_BAND),
-                 key=lambda a: a.id, default=None)
+    top = max([value for value, _ in candidates])
+    low, winner = top - WITNESS_BAND, None
+    for value, atom in candidates:
+        if value >= low and (winner is None or atom.id < winner.id):
+            winner = atom
     if winner is None:
         # only a NaN top leaves no candidate within its band
         raise GreedyExpansionError(f"sup is {top!r}: the vector has a NaN entry")
     return top, winner
 
 
-# below 2**1023 no partial sum of a head row's score overflows
+# below 2**1023 on a remainder's norm no partial sum of a head row's score
+# overflows, the rows being unit atoms or their images under a matrix that
+# passed the orthogonality check
 _SCREEN_LIMIT = 2.0 ** 1023
 
 _np = None
@@ -199,49 +203,56 @@ def _dense_rows(atoms: Sequence[Atom], columns: Sequence) -> np.ndarray:
 
 class _DenseHead:
     """A materialized head as a dense float64 matrix, one row per atom in head
-    order, over the sorted union of the atoms' supports, with its absolute
-    value beside it: the input of the certified screen in _Headed.sup_inner."""
+    order, over the sorted union of the atoms' supports: the input of the
+    certified screen in _Headed.sup_inner. factor and floor give the screen's
+    one error bound, nx * factor + floor for a remainder of norm nx.
 
-    __slots__ = ("columns", "matrix", "magnitudes", "factor", "floor")
+    A row h's gemv value and its fsum score differ by at most
+    (gamma_d + 2u) * S + (2d + 1) * 2**-1075, S being the exact sum of
+    |h_i x_i| over the d columns: the gemv errs by gamma_d * S in any summation
+    order, FMA included (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, section 3.1), fsum by u * S for its products
+    and u * S for its one rounding, and each of the d products of either and
+    fsum's rounding by at most 2**-1075 more on underflow. By Cauchy-Schwarz
+    S <= ||h|| * ||x||, and math.hypot gives ||x|| within 1 ulp, a relative
+    2u. The factor holds an upper bound on every row's norm: numpy's square
+    sums err by gamma_d relative and d * 2**-1075 absolute at most, which the
+    bound adds back before its square root. Twice (d + 4) * u times that
+    bound, and twice the underflow terms, cover the difference and the
+    roundings of the bound itself with room to spare."""
+
+    __slots__ = ("columns", "matrix", "factor", "floor")
 
     def __init__(self, head: Sequence[Atom]):
-        np = _numpy()
         self.columns = sorted({i for a in head for i in a.vector._entries}, key=index_key)
-        self.matrix = _dense_rows(head, self.columns)
-        self.magnitudes = np.abs(self.matrix)
-        # A row's gemv value and its fsum score differ by at most
-        # (gamma_d + 2u) * S + d * 2**-1074, S being the exact sum of |h_i x_i|
-        # over the d columns: the gemv errs by gamma_d * S in any summation
-        # order, FMA included (Higham, Accuracy and Stability of Numerical
-        # Algorithms, 2nd ed., 2002, section 3.1), fsum by u * S for its
-        # products and u * S for its one rounding, and each of the 2d products
-        # by at most 2**-1075 more on underflow. The computed magnitude sum and
-        # the bound's own roundings lose a relative gamma_d + 2u at most, so
-        # this factor and floor cover the difference with room to spare.
+        self.matrix = m = _dense_rows(head, self.columns)
         d = len(self.columns)
-        self.factor = 2 * (d + 4) * 2.0 ** -53
+        squares = float((m * m).sum(axis=1).max()) + d * 2.0 ** -1074
+        self.factor = 2 * (d + 4) * 2.0 ** -53 * math.sqrt(squares * (1 + 4 * (d + 2) * 2.0 ** -53))
         self.floor = 2 * (d + 2) * 2.0 ** -1074
 
     def rows(self, f: SparseVector, tail_top: float):
         """Indices, in head order, of the rows whose fsum score can reach the
         best certified lower end, or tail_top, minus WITNESS_BAND: the top row
-        and every row within the band of the sup. Every row when a bound is
-        not finite or a score could overflow."""
-        np = _numpy()
-        n = len(self.columns)
-        x = np.fromiter(map(f._entries.get, self.columns, repeat(0.0, n)), float, n)
-        # a non-finite remainder is scored like any other, without a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            est = self.matrix @ x
-            magnitude = self.magnitudes @ np.abs(x)
+        and every row within the band of the sup. Every row when the
+        remainder's norm on the head's columns is not finite or a score could
+        overflow: every row has a norm near 1, so below _SCREEN_LIMIT neither
+        the product nor a score can.
+
+        Each score lies within err of its row's est. Rounding is monotone, so
+        the best est minus err rounds to at most that row's score, and the
+        threshold to at most the sup minus WITNESS_BAND as _best computes it.
+        A row that _best can pick has est + err >= threshold, and since est is
+        a float, est >= threshold - err as rounded."""
+        xs = list(map(f._entries.get, self.columns, repeat(0.0)))
+        nx = math.hypot(*xs)
         # a NaN fails the test too
-        if not magnitude.max() < _SCREEN_LIMIT:
-            return range(len(est))
-        err = magnitude * self.factor + self.floor
-        # rounding is monotone, so est - err stays below each score, est + err
-        # above it, and the threshold below the sup minus WITNESS_BAND
-        threshold = max(float((est - err).max()), tail_top) - WITNESS_BAND
-        return np.flatnonzero(est + err >= threshold).tolist()
+        if not nx < _SCREEN_LIMIT:
+            return range(len(self.matrix))
+        est = self.matrix @ _numpy().array(xs)
+        err = nx * self.factor + self.floor
+        threshold = max(float(est.max()) - err, tail_top) - WITNESS_BAND
+        return (est >= threshold - err).nonzero()[0].tolist()
 
 
 def _well_formed(aid) -> bool:
@@ -314,10 +325,12 @@ class _Headed(Dictionary):
         tail scans no remainder.
 
         The head is screened, not scanned: its _DenseHead bounds every row's
-        fsum score with two matrix-vector products, and only the rows that can
-        reach the sup or its witness band are scored with `inner`. Those
-        include the top row and every row within the band, kept in head order,
-        so _best returns the value and witness a full scan gives, bit for bit.
+        fsum score with one matrix-vector product and one error bound, the
+        remainder's norm times a bound on the rows' norms (Cauchy-Schwarz)
+        plus an underflow term. Only the rows that can reach the sup or its
+        witness band are scored with `inner`. Those include the top row and
+        every row within the band, kept in head order, so _best returns the
+        value and witness a full scan gives, bit for bit.
 
         witness=False on an empty head gives (sup, None): the tail's top
         alone, with no search for its witness. On an empty head the tail's
@@ -512,6 +525,25 @@ def _check_orthogonal(q: np.ndarray):
         raise NotOrthogonalError(f"Q^T Q deviates from identity by {dev:g} > {_ORTHOGONALITY_TOL:g}")
 
 
+def _real_matrix(matrix) -> np.ndarray:
+    """matrix as a float64 array, held to the number rule first, which
+    asarray alone would break by reading "1" or True as 1.0: a numpy array
+    must have an integer or float dtype, and a string or bool entry of a
+    nested list raises ConfigInvalidError naming matrix[i][j]. A matrix that
+    is no real array for other reasons raises asarray's own error."""
+    np = _numpy()
+    if isinstance(matrix, np.ndarray) and matrix.dtype.kind not in "iuf":
+        raise ConfigInvalidError(f"matrix must have a real dtype, got {matrix.dtype}")
+    if isinstance(matrix, (list, tuple)):
+        for i, row in enumerate(matrix):
+            if isinstance(row, (list, tuple)):
+                for j, v in enumerate(row):
+                    if type(v) is not float and isinstance(v, (str, bool, np.bool_)):
+                        raise ConfigInvalidError(
+                            f"matrix[{i}][{j}] must be a real number, got {v!r}")
+    return np.asarray(matrix, dtype=float)
+
+
 def _from_dense(arr: np.ndarray) -> SparseVector:
     return SparseVector._trusted({i: v for i, v in enumerate(arr.tolist(), start=1) if v != 0.0})
 
@@ -530,7 +562,7 @@ class PushforwardDictionary(_Headed):
 
     def __init__(self, base: Dictionary, matrix: np.ndarray):
         try:
-            matrix = _numpy().asarray(matrix, dtype=float)
+            matrix = _real_matrix(matrix)
         except (TypeError, ValueError, OverflowError) as exc:
             raise NotOrthogonalError(f"matrix must be a square array of reals: {exc}") from exc
         _check_orthogonal(matrix)
@@ -671,7 +703,7 @@ _DICTIONARY_BUILDERS = {
     # a matrix that is no real array is a bad spec here, before pushforward
     # would call it not orthogonal. It is read before the base, so numpy loads
     # at the top of a chain of pushforwards and never half-way at its depth
-    "pushforward": lambda spec: pushforward(matrix=_numpy().asarray(spec["matrix"], dtype=float),
+    "pushforward": lambda spec: pushforward(matrix=_real_matrix(spec["matrix"]),
                                             base=dictionary_from_config(spec["base"])),
 }
 

@@ -158,9 +158,10 @@ def check_conditions(coefficients: CoefficientSequence, weakening: WeakeningSequ
     divergence_plausible: the last doubling of the horizon added at least half
     as much to the sum as the previous doubling. ratio_vanishing: the tail max
     of c_n/t_n dropped strictly between the half horizon and the full horizon.
-    Both are None when the horizon is shorter than 8.
+    Both are None when the horizon is shorter than 8. horizon must be an
+    integer, by the number rule.
     """
-    if horizon < 1:
+    if number(horizon, "horizon", integer=True) < 1:
         raise ConfigInvalidError("horizon must be >= 1")
     ratios = []
     partial = 0.0

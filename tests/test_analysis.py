@@ -109,6 +109,31 @@ def test_bad_tolerance_raises_in_descent_inequality():
                                   epsilon=1e3, from_step=1, tol=math.nan)
 
 
+@pytest.mark.parametrize("tol", [True, False, "1e-9", None],
+                         ids=["true", "false", "string", "none"])
+@pytest.mark.parametrize("check, name", [(verify_energy_identity, "energy identity"),
+                                         (verify_greedy_condition, "greedy condition")])
+def test_tolerance_that_is_no_number_raises_config_invalid(check, name, tol):
+    # True used to run as a tolerance of 1, "1e-9" to end in a raw TypeError
+    with pytest.raises(ConfigInvalidError, match=f"^{name} tolerance must be a real number, got "):
+        check(onb_run(steps=20), tol=tol)
+
+
+@pytest.mark.parametrize("field, value", [("tol", True), ("tol", "1e-9"), ("epsilon", True),
+                                          ("epsilon", "0.2"), ("epsilon", None)])
+def test_descent_numbers_that_are_no_numbers_raise_config_invalid(field, value):
+    name = "descent inequality tolerance" if field == "tol" else "epsilon"
+    kwargs = {"epsilon": 1e3, "from_step": 1, field: value}
+    with pytest.raises(ConfigInvalidError, match=f"^{name} must be a real number, got "):
+        verify_descent_inequality(onb_run(steps=20), CoherenceEstimate(1.0, samples=1, seed=0),
+                                  **kwargs)
+
+
+def test_integer_tolerances_are_accepted():
+    trace = onb_run(steps=20)
+    assert verify_energy_identity(trace, 1) == verify_energy_identity(trace, 1.0)
+    assert verify_greedy_condition(trace, 0) == verify_greedy_condition(trace, 0.0)
+
 def _with_nan(trace, field_at):
     """trace with the named StepRecord fields of the given steps set to NaN."""
     steps = [dataclasses.replace(r, **{name: math.nan for name, m in field_at if m == r.m})

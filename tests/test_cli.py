@@ -201,6 +201,19 @@ def test_run_pushforward_whose_matrix_overflows_exits_1_without_a_warning(tmp_pa
         "", f"error: {path}: Q^T Q deviates from identity by inf > 1e-09\n")
 
 
+@pytest.mark.parametrize("matrix, message", [
+    ([["1", 0.0], [0.0, True]], "matrix[0][0] must be a real number, got '1'"),
+    ([[1.0, 0.0], [0.0, True]], "matrix[1][1] must be a real number, got True"),
+    ([[0.0, 1.0], [False, 0.0]], "matrix[1][0] must be a real number, got False"),
+], ids=["string", "true", "false"])
+def test_run_pushforward_whose_matrix_holds_no_number_exits_1(tmp_path, capsys, matrix, message):
+    # the matrix was read with asarray, which takes "1" and true as 1.0
+    dictionary = {"kind": "pushforward", "base": {"kind": "symmetrized_onb"}, "matrix": matrix}
+    path, _ = write_config(tmp_path, dictionary=dictionary)
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+    assert not (tmp_path / "config.json.trace.csv").exists()
+
 def nested(kind, depth):
     """A dictionary spec that wraps the symmetrized basis depth times in kind."""
     spec = {"kind": "symmetrized_onb"}

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -502,11 +503,43 @@ def test_pushforward_rejects_direct_sum_base():
                                          "components": [{"kind": "symmetrized_onb"}]}})
 
 
-@pytest.mark.parametrize("matrix", [[[1.0], [1.0, 2.0]], [["a"]], "ab", [[1j]], [[10 ** 400]]],
-                         ids=["ragged", "string_entry", "string", "complex", "huge_int"])
+@pytest.mark.parametrize("matrix", [[[1.0], [1.0, 2.0]], "ab", [[1j]], [[10 ** 400]]],
+                         ids=["ragged", "string", "complex", "huge_int"])
 def test_pushforward_rejects_a_matrix_that_is_no_real_array(matrix):
     with pytest.raises(NotOrthogonalError, match="matrix must be a square array of reals"):
         pushforward(make_symmetrized_onb(), matrix)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([["a"]], "matrix[0][0] must be a real number, got 'a'"),
+    ([["1", 0.0], [0.0, True]], "matrix[0][0] must be a real number, got '1'"),
+    ([[1.0, 0.0], [0.0, True]], "matrix[1][1] must be a real number, got True"),
+    ([[1, 0], [False, 1]], "matrix[1][0] must be a real number, got False"),
+    ([(1.0, 0.0), (0.0, np.bool_(True))], "matrix[1][1] must be a real number, got np.True_"),
+    (np.eye(2, dtype=bool), "matrix must have a real dtype, got bool"),
+    (np.array([["1", "0"], ["0", "1"]]), "matrix must have a real dtype, got <U1"),
+    (np.eye(2, dtype=complex), "matrix must have a real dtype, got complex128"),
+    (np.eye(2, dtype=object), "matrix must have a real dtype, got object"),
+], ids=["string_entry", "numeric_string", "bool", "false_int_row", "numpy_bool", "bool_array",
+        "string_array", "complex_array", "object_array"])
+def test_pushforward_matrix_follows_the_number_rule(matrix, message):
+    # asarray would read "1", True and an orthogonal bool or string array as
+    # reals, and the run would go on
+    base = {"kind": "symmetrized_onb"}
+    with pytest.raises(ConfigInvalidError, match=re.escape(message)):
+        pushforward(make_symmetrized_onb(), matrix)
+    if isinstance(matrix, list):
+        with pytest.raises(ConfigInvalidError, match=re.escape(message)):
+            dictionary_from_config({"kind": "pushforward", "base": base, "matrix": matrix})
+
+
+@pytest.mark.parametrize("matrix", [[[0.0, 1.0], [1.0, 0.0]], [[0, 1], [1, 0]],
+                                    np.array([[0, 1], [1, 0]], dtype=np.int8),
+                                    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.float32)],
+                         ids=["float", "int", "int8_array", "float32_array"])
+def test_pushforward_matrix_of_ints_or_floats_is_accepted(matrix):
+    d = pushforward(make_symmetrized_onb(), matrix)
+    assert [a.vector for a in d.head[:2]] == [SparseVector({2: 1.0}), SparseVector({2: -1.0})]
 
 
 def test_pushforward_rejects_a_user_dictionary_base():
@@ -662,7 +695,11 @@ def test_dense_head_scatters_like_a_cellwise_build():
         want = _cellwise(dictionary.head)
         assert dense_head.matrix.shape == want.shape
         assert dense_head.matrix.tobytes() == want.tobytes()
-        assert dense_head.magnitudes.tobytes() == np.abs(want).tobytes()
+        # the screen's error factor is 2 * (d + 4) * 2**-53 times a bound on
+        # every row's norm, which must reach each row's exact norm
+        d = len(dense_head.columns)
+        bound = Fraction(dense_head.factor) / Fraction(2 * (d + 4), 2 ** 53)
+        assert all(bound ** 2 >= sum(Fraction(x) ** 2 for x in row) for row in want.tolist())
 
 
 def test_direct_sum_from_config_scatters_its_heads():

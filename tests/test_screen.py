@@ -5,10 +5,14 @@ matrix-vector product and scores exactly only the atoms that can reach the sup
 or its witness band.
 These tests pin that the screened `sup_inner` gives what scoring every head
 atom gives, value bit for bit and witness id alike, on planted near-ties,
-extreme magnitudes and non-finite remainders.
+extreme magnitudes and non-finite remainders; that the screen's one error
+bound, the remainder's norm times the row-norm factor plus an underflow floor,
+holds exactly for every row; and that the one-pass `_best` answers as the
+two-scan form it replaced.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from greedyexp.dictionaries import (
     WITNESS_BAND,
     Atom,
     DirectSumDictionary,
+    _SCREEN_LIMIT,
     _best,
     basis_atom,
     direct_sum,
@@ -28,7 +33,7 @@ from greedyexp.dictionaries import (
     make_symmetrized_onb,
     pushforward,
 )
-from greedyexp.errors import GreedyExpansionError
+from greedyexp.errors import EmptyVectorError, GreedyExpansionError
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -108,8 +113,8 @@ SCALES = st.sampled_from([1e-310, 1e-300, 1e-150, 1e-3, 1.0, 1e3, 1e150])
 
 
 @st.composite
-def remainders(draw, indices):
-    scale = draw(SCALES)
+def remainders(draw, indices, scales=SCALES):
+    scale = draw(scales)
     entries = {}
     for i in draw(st.lists(st.sampled_from(indices), max_size=12)):
         value = draw(st.one_of(
@@ -194,6 +199,44 @@ def test_aligned_remainders_equal_scan(case):
         assert_screen_matches_scan(d, f)
 
 
+# remainders of norm 1e3 to 1e9, where the screen's error bound exceeds
+# WITNESS_BAND and rows far outside the band pass the screen
+LARGE = st.sampled_from([1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9])
+
+
+def screen_error(dictionary, f):
+    """The screen's estimates and its one error bound for f, as rows takes them."""
+    dense = dictionary._dense
+    xs = [f.get(i) for i in dense.columns]
+    nx = math.hypot(*xs)
+    return dense.matrix @ np.array(xs), nx * dense.factor + dense.floor
+
+
+@PROPERTY
+@given(heads(), remainders(PLAIN, LARGE), st.integers(0, 2 ** 32 - 1))
+def test_large_remainders_equal_scan(head, f, seed):
+    finite = make_finite(head)
+    dictionaries = (finite, make_augmented_onb(head, range(1, DIM + 1)),
+                    pushforward(finite, orthogonal(seed, DIM)))
+    for d in dictionaries:
+        assert_screen_matches_scan(d, f)
+    if math.hypot(*(f.get(i) for i in finite._dense.columns)) >= 1e3:
+        _, err = screen_error(finite, f)
+        assert err > WITNESS_BAND
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, DIM - 1), min_size=2, max_size=DIM), LARGE,
+       st.sampled_from([0.0, 1e-16, 1e-13, 1.0]))
+def test_large_exact_ties_pick_the_smallest_id(axes, scale, gap):
+    # equal entries tie exactly at any scale: basis rows and their sums
+    head = [SparseVector({k + 1: 1.0}) for k in range(DIM)]
+    head += [SparseVector({1: 1.0, 2: 1.0}), SparseVector({2: 1.0, 1: 1.0 + gap})]
+    f = SparseVector({k + 1: scale for k in axes})
+    for d in (make_finite(head), make_augmented_onb(head, range(1, DIM + 1))):
+        assert_screen_matches_scan(d, f)
+
+
 def test_near_duplicates_at_one_ulp_pick_the_smallest_id():
     rng = np.random.default_rng(7)
     rows = [rng.standard_normal(40) for _ in range(50)]
@@ -248,3 +291,90 @@ def test_nan_top_raises_a_typed_error():
     d = make_finite([SparseVector({1: 1.0, 2: 1.0}), SparseVector({1: 0.6, 2: -0.8})])
     with pytest.raises(GreedyExpansionError, match="NaN"):
         d.sup_inner(SparseVector({1: math.nan, 2: 0.5}))
+
+
+# ---------------------------------------------------------------------------
+# the screen's error bound, exactly
+# ---------------------------------------------------------------------------
+
+# one entry of a remainder: a sign, a mantissa and a decimal exponent, so
+# that one vector mixes magnitudes from 1e-300 to 1e300
+ENTRIES = st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+                    st.sampled_from([1.0, -1.0]), st.floats(min_value=1.0, max_value=9.99),
+                    st.integers(-300, 300))
+
+
+@st.composite
+def mixed_remainders(draw):
+    """Entries on and off the head's columns (7..9 are off every head), each
+    of its own magnitude from 1e-300 to 1e300."""
+    keys = draw(st.lists(st.sampled_from(PLAIN), max_size=len(PLAIN), unique=True))
+    return SparseVector({i: draw(ENTRIES) for i in keys})
+
+
+def pushed(head, seed):
+    return pushforward(make_augmented_onb(head, range(1, DIM + 1)), orthogonal(seed, DIM + 1))
+
+
+@PROPERTY
+@given(heads(), st.one_of(mixed_remainders(), remainders(PLAIN)), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_every_score_lies_within_the_screen_bound(head, f, seed, rotated):
+    d = pushed(head, seed) if rotated else make_finite(head)
+    est, err = screen_error(d, f)
+    assert math.hypot(*(f.get(i) for i in d._dense.columns)) < _SCREEN_LIMIT
+    for k, atom in enumerate(d.head):
+        assert abs(Fraction(float(est[k])) - Fraction(inner(f, atom.vector))) <= Fraction(err)
+    assert_screen_matches_scan(d, f)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass _best against the two-scan form it replaced
+# ---------------------------------------------------------------------------
+
+
+def two_scan_best(candidates):
+    if not candidates:
+        raise EmptyVectorError("sup over a symmetric dictionary needs a nonzero vector")
+    if len(candidates) == 1:
+        return candidates[0]
+    top = max(value for value, _ in candidates)
+    winner = min((atom for value, atom in candidates if value >= top - WITNESS_BAND),
+                 key=lambda a: a.id, default=None)
+    if winner is None:
+        raise GreedyExpansionError(f"sup is {top!r}: the vector has a NaN entry")
+    return top, winner
+
+
+VALUES = st.sampled_from([0.5, 0.5, 0.5 + 1e-13, 0.5 - 4.9e-13, 0.5 - 5.1e-13, 0.5 + 1e-12,
+                          1.0, -1.0, 0.0, math.inf, -math.inf, math.nan])
+IDS = st.one_of(st.tuples(st.just("y"), st.integers(0, 5)),
+                st.tuples(st.just("e"), st.integers(0, 1), st.integers(1, 3)))
+
+
+def best_outcome(best, candidates):
+    """(value as hex, the position of the witness), or the type and message
+    of the error raised."""
+    try:
+        value, atom = best(candidates)
+    except GreedyExpansionError as exc:
+        return type(exc), str(exc)
+    return value.hex(), next(k for k, (_, a) in enumerate(candidates) if a is atom)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(VALUES, IDS), max_size=8))
+def test_best_equals_the_two_scan_form(pairs):
+    # ids may repeat: the first of equal smallest ids wins in both forms
+    candidates = [(value, Atom(aid, SparseVector({1: 1.0}))) for value, aid in pairs]
+    assert best_outcome(_best, candidates) == best_outcome(two_scan_best, candidates)
+
+
+def test_best_nan_cases():
+    atoms = [Atom(("y", k), SparseVector({1: 1.0})) for k in range(3)]
+    # a NaN top raises; a NaN after a number is skipped
+    with pytest.raises(GreedyExpansionError, match="NaN"):
+        _best([(math.nan, atoms[0]), (1.0, atoms[1])])
+    assert _best([(1.0, atoms[2]), (math.nan, atoms[0]), (1.0, atoms[1])]) == (1.0, atoms[1])
+    with pytest.raises(EmptyVectorError):
+        _best([])

@@ -26,6 +26,19 @@ def test_check_conditions_needs_a_horizon():
         check_conditions(Harmonic(), ConstantWeakening(1.0), 0)
 
 
+@pytest.mark.parametrize("horizon", [True, False, 2.5, 8.0, "8", None])
+def test_check_conditions_horizon_is_an_integer(horizon):
+    # True used to run as a horizon of 1, 2.5 to end in a raw TypeError
+    message = f"^horizon must be an integer, got {re.escape(repr(horizon))}$"
+    with pytest.raises(ConfigInvalidError, match=message):
+        check_conditions(Harmonic(), ConstantWeakening(1.0), horizon)
+
+
+def test_check_conditions_takes_a_numpy_integer_horizon():
+    assert (check_conditions(Harmonic(), ConstantWeakening(1.0), np.int64(16))
+            == check_conditions(Harmonic(), ConstantWeakening(1.0), 16))
+
+
 @pytest.mark.parametrize("parse", [coefficients_from_config, weakening_from_config])
 def test_explicit_spec_needs_values_or_file(parse):
     with pytest.raises(ConfigInvalidError, match="needs 'values' or 'file'"):
