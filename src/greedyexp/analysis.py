@@ -15,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from .dictionaries import CoherenceEstimate
+from .dictionaries import ADMISSIBILITY_SLACK, CoherenceEstimate
 from .engine import Trace
 from .errors import ConfigInvalidError, PreconditionUnmetError, number
 
@@ -86,7 +86,7 @@ def verify_energy_identity(trace: Trace, tol: float = 1e-10) -> VerificationRepo
     return _worst_step("energy_identity", trace, steps, violations, tol)
 
 
-def verify_greedy_condition(trace: Trace, tol: float = 1e-12) -> VerificationReport:
+def verify_greedy_condition(trace: Trace, tol: float = ADMISSIBILITY_SLACK) -> VerificationReport:
     """ip >= t*sup - tol at every recorded step."""
     return _worst_step("greedy_condition", trace, [r.m for r in trace.steps],
                        [r.t * r.sup - r.ip for r in trace.steps], tol)

@@ -22,6 +22,7 @@ from dataclasses import asdict
 from . import analysis, counterexample, engine, sequences
 from .core import SparseVector
 from .dictionaries import (
+    ADMISSIBILITY_SLACK,
     CoherenceEstimate,
     MaxGreedy,
     Scripted,
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.add_argument("--report", default=None, help="write the verification report JSON here")
     p.add_argument("--energy-tol", type=float, default=1e-10)
-    p.add_argument("--greedy-tol", type=float, default=1e-12)
+    p.add_argument("--greedy-tol", type=float, default=ADMISSIBILITY_SLACK)
     p.add_argument("--require-blocks", action="store_true",
                    help="warn when the trace has no direct-sum block column")
     p.add_argument("--descent-coherence", type=float, default=None,

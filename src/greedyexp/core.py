@@ -30,8 +30,10 @@ coordinates only:
   vector no step has made, or one with a non-finite square) ``norm()`` takes
   the fsum of the squares;
 - a lazy max-heap of (-|x|, i) over the indices from some start on, from which
-  ``tail_top`` reads the largest magnitude and ``tail_peak`` also the entries
-  near it. Nodes whose entry has changed stay in the heap until they surface.
+  ``tail_top`` reads the largest magnitude and ``tail_peak`` also the witness
+  entry, the smallest-id signed basis atom within a band of it, chosen while
+  it walks the nodes near the top. Nodes whose entry has changed stay in the
+  heap until they surface.
   The heap is handed over, not copied: v drops it and rebuilds it if it is
   queried again. A NaN entry's node is the sentinel (-inf, 0), which sorts
   before every other node (index 0 is no coordinate) and never goes stale, as
@@ -346,38 +348,32 @@ def subtract_scaled(v: SparseVector, c: float, a: SparseVector) -> SparseVector:
     """v - c*a, re-canonicalized: entries that cancel exactly are removed.
 
     The result takes over v's entry dict, updated on a's coordinates, and v
-    keeps only the undo record that rebuilds it if it is read again. The
-    result carries v's square sum, updated the same way, and takes over v's
-    magnitude heap with a node pushed for every changed tail entry.
+    becomes a _Handed vector that keeps only the undo record of the old
+    values, which rebuilds its dict if it is read again. The result carries
+    v's square sum, computed once if v has none and updated the same way, and
+    takes over v's magnitude heap with a node pushed for every changed tail
+    entry; it drops the heap if a has a (block, inner) index.
 
     When v's block restrictions are built, the flat dict is left alone: each
     restriction that a touches is stepped that way, every other one is shared,
     and the result is a _Blocked vector whose square sum adds up theirs."""
     c = float(c)
     parts = v._blocks
-    if parts is None:
-        pairs = a._entries.items()
-        if a is v:
-            # the step updates this very dict: read the atom first
-            pairs = list(pairs)
-        total = v._square_sum
-        return _step(v, c, pairs, _exact_square_sum(v) if total is None else total)
-    parts = dict(parts)
-    for l, (al, _) in block_parts(a).items():
-        wl = subtract_scaled(v.block_restriction(l), c, al)
-        if wl._entries:
-            parts[l] = (wl, {})
-        else:
-            parts.pop(l, None)
-    sums = [_exact_square_sum(x) for x, _ in parts.values()]
-    return _held(parts, None if None in sums else sum(sums))
-
-
-def _step(v: SparseVector, c: float, pairs, total) -> SparseVector:
-    """v - c*a over a's (index, value) pairs, with v's square sum total (None
-    to keep none). The result takes over v's entry dict and magnitude heap,
-    which it drops if a has a (block, inner) index; v becomes a _Handed vector
-    that records the old values."""
+    if parts is not None:
+        parts = dict(parts)
+        for l, (al, _) in block_parts(a).items():
+            wl = subtract_scaled(v.block_restriction(l), c, al)
+            if wl._entries:
+                parts[l] = (wl, {})
+            else:
+                parts.pop(l, None)
+        sums = [_exact_square_sum(x) for x, _ in parts.values()]
+        return _held(parts, None if None in sums else sum(sums))
+    pairs = a._entries.items()
+    if a is v:
+        # the step updates this very dict: read the atom first
+        pairs = list(pairs)
+    total = _exact_square_sum(v) if v._square_sum is None else v._square_sum
     entries = v._entries
     size = len(entries)
     heap = v._heap
@@ -488,35 +484,37 @@ def tail_top(v: SparseVector, start: int):
 
 
 def tail_peak(v: SparseVector, start: int, band: float):
-    """Over v's entries on indices >= start: the largest magnitude top and
-    every (i, x) with |x| >= top - band, in no particular order; None when
-    there is no such entry.
+    """Over v's entries on indices >= start: (top, i, x), top the largest
+    magnitude and (i, x) the entry of the smallest-id signed basis atom
+    within band of it: a positive entry before a negative one, then the
+    smallest index. None when there is no such entry.
 
     Reads v's magnitude heap: after tail_top, only the nodes whose magnitude
     reaches top - band are visited: a node below that bounds its whole subtree.
     So when neither child of the root reaches it, the root, which tail_top has
-    made current, is the only such entry, and no node is visited."""
+    made current, is the witness, and no node is visited."""
     top = tail_top(v, start)
     if top is None:
         return None
     nodes = v._heap[1]
     entries = v._entries
+    i = nodes[0][1]
+    x = entries[i]
     floor = top - band
     size = len(nodes)
     if (size < 2 or -nodes[1][0] < floor) and (size < 3 or -nodes[2][0] < floor):
-        i = nodes[0][1]
-        return top, [(i, entries[i])]
-    near, stack = [], [0]
+        return top, i, x
+    stack = [0]
     while stack:
         k = stack.pop()
-        neg, i = nodes[k]
+        neg, j = nodes[k]
         if -neg >= floor:
-            x = entries.get(i)
-            if x is not None and abs(x) == -neg:
-                near.append((i, x))
+            y = entries.get(j)
+            if y is not None and abs(y) == -neg and (y < 0, j) < (x < 0, i):
+                i, x = j, y
             k = 2 * k + 1
             if k < size:
                 stack.append(k)
                 if k + 1 < size:
                     stack.append(k + 1)
-    return top, near
+    return top, i, x

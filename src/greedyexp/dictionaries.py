@@ -320,9 +320,10 @@ class _Headed(Dictionary):
     def sup_inner(self, f: SparseVector, witness: bool = True) -> tuple:
         """The sup over the head atoms and the basis tail. Ties resolve in two
         stages: the basis tail picks its own witness first, then _best decides
-        between it and the head. The tail's exact max and the entries within
-        WITNESS_BAND of it come from f's magnitude heap, so a step on a basis
-        tail scans no remainder.
+        between it and the head. The tail's exact max and its witness, the
+        smallest-id basis atom within WITNESS_BAND of it, come from one
+        tail_peak walk of f's magnitude heap, so a step on a basis tail scans
+        no remainder and picks no second time.
 
         The head is screened, not scanned: its _DenseHead bounds every row's
         fsum score with one matrix-vector product and one error bound, the
@@ -346,13 +347,8 @@ class _Headed(Dictionary):
             rows = self._dense.rows(f, -math.inf if peak is None else peak[0])
             candidates = [(inner(f, head[k].vector), head[k]) for k in rows]
         if peak is not None:
-            top, near = peak
-            if len(near) == 1:
-                [(i, x)] = near
-            else:
-                # the smallest id: a positive entry first, then the smallest
-                # index; i is one of f's entries, a valid plain index
-                _, i, x = min((x < 0, i, x) for i, x in near)
+            # i is one of f's entries, a valid plain index
+            top, i, x = peak
             if not head:
                 return top, basis_atom(i, x)
             candidates.append((top, basis_atom(i, x)))
@@ -527,15 +523,18 @@ def _check_orthogonal(q: np.ndarray):
 
 def _real_matrix(matrix) -> np.ndarray:
     """matrix as a float64 array, held to the number rule first, which
-    asarray alone would break by reading "1" or True as 1.0: a numpy array
-    must have an integer or float dtype, and a string or bool entry of a
-    nested list raises ConfigInvalidError naming matrix[i][j]. A matrix that
-    is no real array for other reasons raises asarray's own error."""
+    asarray alone would break by reading "1" or True as 1.0: a numpy array,
+    the whole matrix or one of its rows, must have an integer or float dtype,
+    and a string or bool entry of a nested list raises ConfigInvalidError
+    naming matrix[i][j]. A matrix that is no real array for other reasons
+    raises asarray's own error."""
     np = _numpy()
     if isinstance(matrix, np.ndarray) and matrix.dtype.kind not in "iuf":
         raise ConfigInvalidError(f"matrix must have a real dtype, got {matrix.dtype}")
     if isinstance(matrix, (list, tuple)):
         for i, row in enumerate(matrix):
+            if isinstance(row, np.ndarray) and row.dtype.kind not in "iuf":
+                raise ConfigInvalidError(f"matrix[{i}] must have a real dtype, got {row.dtype}")
             if isinstance(row, (list, tuple)):
                 for j, v in enumerate(row):
                     if type(v) is not float and isinstance(v, (str, bool, np.bool_)):

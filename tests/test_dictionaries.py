@@ -520,8 +520,10 @@ def test_pushforward_rejects_a_matrix_that_is_no_real_array(matrix):
     (np.array([["1", "0"], ["0", "1"]]), "matrix must have a real dtype, got <U1"),
     (np.eye(2, dtype=complex), "matrix must have a real dtype, got complex128"),
     (np.eye(2, dtype=object), "matrix must have a real dtype, got object"),
+    ([np.array([True, False]), np.array([False, True])], "matrix[0] must have a real dtype, got bool"),
+    ([np.array(["1", "0"]), [0.0, 1.0]], "matrix[0] must have a real dtype, got <U1"),
 ], ids=["string_entry", "numeric_string", "bool", "false_int_row", "numpy_bool", "bool_array",
-        "string_array", "complex_array", "object_array"])
+        "string_array", "complex_array", "object_array", "bool_array_rows", "string_array_row"])
 def test_pushforward_matrix_follows_the_number_rule(matrix, message):
     # asarray would read "1", True and an orthogonal bool or string array as
     # reals, and the run would go on
@@ -535,8 +537,9 @@ def test_pushforward_matrix_follows_the_number_rule(matrix, message):
 
 @pytest.mark.parametrize("matrix", [[[0.0, 1.0], [1.0, 0.0]], [[0, 1], [1, 0]],
                                     np.array([[0, 1], [1, 0]], dtype=np.int8),
-                                    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.float32)],
-                         ids=["float", "int", "int8_array", "float32_array"])
+                                    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.float32),
+                                    [np.array([0.0, 1.0]), np.array([1.0, 0.0])]],
+                         ids=["float", "int", "int8_array", "float32_array", "float_array_rows"])
 def test_pushforward_matrix_of_ints_or_floats_is_accepted(matrix):
     d = pushforward(make_symmetrized_onb(), matrix)
     assert [a.vector for a in d.head[:2]] == [SparseVector({2: 1.0}), SparseVector({2: -1.0})]

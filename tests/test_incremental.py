@@ -245,24 +245,9 @@ def heap_select(f, start):
     peak = tail_peak(f, start, WITNESS_BAND)
     if peak is None:
         return None
-    top, near = peak
-    return top, min((0 if x > 0 else 1, i) for i, x in near)
-
-
-def scan_peak(f, start):
-    """tail_peak's answer by a full scan, its entries in index order."""
-    tail = [(i, x) for i, x in f.items() if i >= start]
-    if not tail:
-        return None
-    top = max(abs(x) for _, x in tail)
-    return top, sorted((i, x) for i, x in tail if abs(x) >= top - WITNESS_BAND)
-
-
-def heap_peak(f, start):
-    # an entry whose sign flipped at the same magnitude has two current
-    # nodes, so the walk may list it twice
-    peak = tail_peak(f, start, WITNESS_BAND)
-    return None if peak is None else (peak[0], sorted(set(peak[1])))
+    top, i, x = peak
+    assert f.get(i) == x
+    return top, (0 if x > 0 else 1, i)
 
 
 # planted near-ties: a base magnitude plus offsets just below and just above
@@ -303,24 +288,6 @@ def test_heap_selection_equals_two_pass_scan(base, draws, start, updates):
         assert_selects_like_scan(f, start)
 
 
-def assert_peaks_like_scan(f, start):
-    # every entry within the band, not just the witness: the root alone
-    # exactly when no other entry comes within it
-    assert heap_peak(f, start) == scan_peak(f, start)
-    assert_selects_like_scan(f, start)
-
-
-@PROPERTY
-@given(st.floats(min_value=1e-3, max_value=10.0), TIED, st.sampled_from([1, 2, 17, 40]), TIED)
-def test_heap_peak_lists_the_band_like_a_scan(base, draws, start, updates):
-    f = tied_vector(base, draws)
-    assert_peaks_like_scan(f, start)
-    for i, level, gap, sign in updates[:12]:
-        new = tied_vector(base, [(i, level, gap, sign)]).get(i) if level else 0.0
-        f = subtract_scaled(f, 1.0, SparseVector({i: f.get(i) - new}))
-        assert_peaks_like_scan(f, start)
-
-
 def test_heap_finds_band_witness_below_top():
     f = SparseVector({9: 0.75 + 1e-13, 3: -0.75, 5: 0.75, 2: 0.75 - 1e-12})
     assert heap_select(f, 1) == (0.75 + 1e-13, (0, 5))
@@ -340,7 +307,7 @@ def test_heap_finds_band_witness_below_top():
 def test_small_heaps_and_infinite_tops_peak_like_a_scan(entries):
     # heaps of one and two nodes, where a child is missing or alone; an
     # infinite top's band floor is inf, so only infinite entries join it
-    assert_peaks_like_scan(SparseVector(entries), 1)
+    assert_selects_like_scan(SparseVector(entries), 1)
 
 
 def test_stale_child_in_the_band_falls_through_to_the_walk():
@@ -352,8 +319,8 @@ def test_stale_child_in_the_band_falls_through_to_the_walk():
     tail_peak(f, 1, WITNESS_BAND)
     f = subtract_scaled(f, 1.0, SparseVector({2: near - 0.5, 3: -(1.0 - 2e-13)}))
     assert f._heap[1][:4] == [(-1.0, 1), (-near, 2), (-0.5, 2), (-(1.0 - 2e-13), 3)]
-    assert heap_peak(f, 1) == (1.0, [(1, -1.0), (3, 1.0 - 2e-13)])
-    assert_peaks_like_scan(f, 1)
+    assert heap_select(f, 1) == (1.0, (0, 3))
+    assert_selects_like_scan(f, 1)
     assert make_symmetrized_onb().sup_inner(f) == (1.0, basis_atom(3, 1.0))
 
 

@@ -7,8 +7,9 @@ These tests pin that the screened `sup_inner` gives what scoring every head
 atom gives, value bit for bit and witness id alike, on planted near-ties,
 extreme magnitudes and non-finite remainders; that the screen's one error
 bound, the remainder's norm times the row-norm factor plus an underflow floor,
-holds exactly for every row; and that the one-pass `_best` answers as the
-two-scan form it replaced.
+holds exactly for every row and covers the bound it is derived from, floor
+included; and that the one-pass `_best` answers as the two-scan form it
+replaced.
 """
 
 import math
@@ -326,6 +327,34 @@ def test_every_score_lies_within_the_screen_bound(head, f, seed, rotated):
     for k, atom in enumerate(d.head):
         assert abs(Fraction(float(est[k])) - Fraction(inner(f, atom.vector))) <= Fraction(err)
     assert_screen_matches_scan(d, f)
+
+
+TINY = 2.0 ** -1074
+
+# remainders whose head-column entries are all 0 (none, or one off every
+# head), the smallest subnormal, or subnormal beside normal: there the
+# underflow term is all or much of the bound
+UNDERFLOW = st.sampled_from([
+    {}, {DIM + 3: 0.5}, {1: TINY}, {k: -TINY for k in range(1, DIM + 1)},
+    {1: TINY, 2: -3 * TINY, 3: 1e-310, 4: 0.5, 5: -1e-300, DIM + 3: 2.0},
+])
+
+
+@PROPERTY
+@given(heads(), UNDERFLOW, st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_screen_bound_covers_its_derivation_exactly(head, entries, seed, rotated):
+    """nx * factor + floor >= (gamma_d + 2u) * R * ||x|| + (2d + 1) * 2**-1075
+    in exact rationals, R the exact largest row norm and ||x|| the exact norm
+    of the remainder on the head's d columns; squares are compared, so no
+    square root is taken."""
+    dense = (pushed(head, seed) if rotated else make_finite(head))._dense
+    xs = [SparseVector(entries).get(i) for i in dense.columns]
+    d, u = len(dense.columns), Fraction(1, 2 ** 53)
+    gamma = d * u / (1 - d * u)
+    r2 = max(sum(Fraction(h) ** 2 for h in row) for row in dense.matrix.tolist())
+    x2 = sum(Fraction(x) ** 2 for x in xs)
+    rest = Fraction(math.hypot(*xs) * dense.factor + dense.floor) - Fraction(2 * d + 1, 2 ** 1075)
+    assert rest >= 0 and rest ** 2 >= (gamma + 2 * u) ** 2 * r2 * x2
 
 
 # ---------------------------------------------------------------------------
