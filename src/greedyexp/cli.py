@@ -4,8 +4,8 @@ Configs are JSON documents (schema in the README). Trace CSV is the canonical
 output; metadata JSON echoes the config and records how the run ended so that
 a truncated run is never mistaken for a converged one.
 
-Exit codes: 0 success, 1 bad config, non-finite input, unreadable input or
-unwritable output, 2 run aborted, 3 verification failed. ``main`` turns an
+Exit codes: 0 success, 1 bad config, non-finite input, unreadable input,
+unwritable output or two of a command's paths that are one file, 2 run aborted, 3 verification failed. ``main`` turns an
 OSError or GreedyExpansionError into ``error: <message>`` and exit 1; only
 ``run_experiment`` (sweep's worker entry point) and check's trace read keep their own.
 """
@@ -29,8 +29,6 @@ from .dictionaries import (
     dictionary_from_config,
 )
 from .errors import GreedyExpansionError, ConfigInvalidError, parse_tagged
-
-SEED_ENV_VAR = "GREEDY_SEED"
 
 
 def _fail(message: str) -> int:
@@ -84,14 +82,22 @@ def _policy_from_config(spec) -> object:
     return parse_tagged(spec, _POLICY_BUILDERS, "policy")
 
 
-def _effective_seed(config: dict):
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigInvalidError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return config.get("seed")
+def _distinct_paths(named: list) -> None:
+    """Raise ConfigInvalidError naming both when two of the (name, path)
+    pairs are one file by os.path.realpath; a command calls it before it
+    writes, so that no output replaces an input or another output."""
+    seen = {}
+    for name, path in named:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigInvalidError(f"{seen[real]} and {name} {path} are one file")
+        seen[real] = f"{name} {path}"
+
+
+def _run_outputs(config: dict) -> list:
+    """A run config's trace and metadata paths as (name, path) pairs."""
+    outputs = config["outputs"]
+    return [("outputs.trace", outputs["trace"]), ("outputs.metadata", outputs["metadata"])]
 
 
 def run_experiment(config_path: str) -> int:
@@ -105,9 +111,9 @@ def run_experiment(config_path: str) -> int:
         policy = _policy_from_config(config.get("policy"))
         max_steps = config["max_steps"]
         stop_below = config.get("early_exit_threshold")
-        outputs = config["outputs"]
-        trace_path, meta_path = outputs["trace"], outputs["metadata"]
-        seed = _effective_seed(config)
+        outputs = _run_outputs(config)
+        _distinct_paths([("config", config_path)] + outputs)
+        (_, trace_path), (_, meta_path) = outputs
     except (KeyError, TypeError, ValueError, OSError, GreedyExpansionError) as exc:
         return _fail(f"{config_path}: {exc}")
 
@@ -117,7 +123,7 @@ def run_experiment(config_path: str) -> int:
         engine.write_trace_csv(trace, trace_path)
         meta = {
             "config": config,
-            "seed": seed,
+            "seed": config.get("seed"),
             "status": asdict(trace.status),
             "initial_norm": trace.initial_norm,
             "final_residual": trace.final_residual(),
@@ -137,6 +143,8 @@ def run_experiment(config_path: str) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    marks_path = args.marks or (os.path.splitext(args.out)[0] + ".marks.json")
+    _distinct_paths([("--out", args.out), ("--marks", marks_path)])
     cfg = counterexample.default_config(args.t, args.groups, args.k)
     plan = counterexample.build_plan(cfg)
     trace = counterexample.run_plan(plan)
@@ -153,7 +161,6 @@ def cmd_counterexample(args) -> int:
         })
         if residual is None or residual < 1.0 - 1e-9:
             ok = False
-    marks_path = args.marks or (os.path.splitext(args.out)[0] + ".marks.json")
     engine.write_trace_csv(trace, args.out)
     with open(marks_path, "w") as fh:
         json.dump({"t": cfg.t, "k": cfg.k, "groups": cfg.num_groups, "marks": marks_out},
@@ -167,6 +174,8 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.report:
+        _distinct_paths([("--trace", args.trace), ("--report", args.report)])
     try:
         trace = engine.read_trace(args.trace)
     except (OSError, ValueError, GreedyExpansionError) as exc:
@@ -212,10 +221,16 @@ def cmd_sweep(args) -> int:
     from concurrent.futures import ProcessPoolExecutor
 
     paths = args.configs
-    if len(set(paths)) != len(paths):
-        return _fail("sweep configs must be distinct")
     if args.jobs is not None and args.jobs < 1:
         return _fail(f"--jobs must be >= 1, got {args.jobs}")
+    named = [("config", path) for path in paths]
+    for path in paths:
+        try:
+            named += [(f"{path} {name}", os.fspath(out))
+                      for name, out in _run_outputs(engine._load_json(path, **_FINITE_JSON))]
+        except (KeyError, TypeError, ValueError, OSError, GreedyExpansionError):
+            pass   # its worker reports a config it cannot read
+    _distinct_paths(named)
     # a fork pool starts all its workers at the first submit: start no more
     # than there are configs
     jobs = min(args.jobs or os.cpu_count() or 1, len(paths))

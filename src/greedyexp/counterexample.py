@@ -22,8 +22,10 @@ Floating point footnote: all components of a group stay equal, so the builder
 simulates one value per group with the engine's own arithmetic, once, and
 nudges the last flip pass and the saturation coefficient by a few ulps so that
 saturation lands bit-exactly on 1/sqrt(h). That makes the zeroing coefficients
-literal floats of 1/sqrt(h) and the cancellations exact. For a few (t, h) pairs
-no such nudge exists; those groups zero out exactly all the same, with
+literal floats of 1/sqrt(h) and the cancellations exact. For some (t, h) pairs
+no such nudge exists: over t = 0.005, 0.010, ..., 0.995 with 6 groups each,
+274 of the 1 194 groups (in 129 of the 199 plans), none below t = 0.21 and 27
+of the 54 above t = 0.95. Those groups zero out exactly all the same, with
 coefficients within a couple of ulps of 1/sqrt(h) and the marks flag cleared.
 """
 

@@ -525,9 +525,9 @@ def _real_matrix(matrix) -> np.ndarray:
     """matrix as a float64 array, held to the number rule first, which
     asarray alone would break by reading "1" or True as 1.0: a numpy array,
     the whole matrix or one of its rows, must have an integer or float dtype,
-    and a string or bool entry of a nested list raises ConfigInvalidError
-    naming matrix[i][j]. A matrix that is no real array for other reasons
-    raises asarray's own error."""
+    and every entry of a nested list goes through errors.number, which names
+    it matrix[i][j]. A matrix that is no real array for other reasons raises
+    asarray's own error."""
     np = _numpy()
     if isinstance(matrix, np.ndarray) and matrix.dtype.kind not in "iuf":
         raise ConfigInvalidError(f"matrix must have a real dtype, got {matrix.dtype}")
@@ -537,9 +537,8 @@ def _real_matrix(matrix) -> np.ndarray:
                 raise ConfigInvalidError(f"matrix[{i}] must have a real dtype, got {row.dtype}")
             if isinstance(row, (list, tuple)):
                 for j, v in enumerate(row):
-                    if type(v) is not float and isinstance(v, (str, bool, np.bool_)):
-                        raise ConfigInvalidError(
-                            f"matrix[{i}][{j}] must be a real number, got {v!r}")
+                    if type(v) is not float:
+                        number(v, f"matrix[{i}][{j}]")
     return np.asarray(matrix, dtype=float)
 
 

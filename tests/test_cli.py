@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 
 import pytest
 
@@ -301,14 +302,20 @@ def test_run_reproducible_byte_identical(tmp_path):
     assert b1 == b2
 
 
-def test_seed_env_override(tmp_path, monkeypatch):
+def test_seed_env_var_is_ignored(tmp_path, monkeypatch):
+    # no run reads its seed: the metadata echoes the config's, and no
+    # environment variable changes a byte of the outputs
     path, config = write_config(tmp_path, seed=7)
-    monkeypatch.setenv("GREEDY_SEED", "99")
-    assert main(["run", "--config", str(path)]) == 0
-    meta = json.loads(open(config["outputs"]["metadata"]).read())
-    assert meta["seed"] == 99
-    monkeypatch.setenv("GREEDY_SEED", "not-an-int")
-    assert main(["run", "--config", str(path)]) == 1
+    outputs = []
+    for value in (None, "99", "not-an-int"):
+        if value is None:
+            monkeypatch.delenv("GREEDY_SEED", raising=False)
+        else:
+            monkeypatch.setenv("GREEDY_SEED", value)
+        assert main(["run", "--config", str(path)]) == 0
+        outputs.append([open(config["outputs"][k], "rb").read() for k in ("trace", "metadata")])
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0][1])["seed"] == 7
 
 
 def test_run_then_check_round_trip(tmp_path):
@@ -585,6 +592,83 @@ def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert main(["sweep", "--config", str(path), "--jobs", jobs]) == 1
     assert "--jobs must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "config.json.trace.csv").exists()
+
+
+# two paths of one command that are one file: exit 1 before anything is written
+
+def files(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def assert_refused(root, capsys, argv, message):
+    before = files(root)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert files(root) == before
+
+
+@pytest.mark.parametrize("trace,metadata,names", [
+    ("t.csv", "t.csv", "outputs.trace {t} and outputs.metadata {m}"),
+    ("t.csv", "sub/../t.csv", "outputs.trace {t} and outputs.metadata {m}"),
+    ("t.csv", "link.csv", "outputs.trace {t} and outputs.metadata {m}"),
+    ("config.json", "m.json", "config {c} and outputs.trace {t}"),
+    ("t.csv", "config.json", "config {c} and outputs.metadata {m}"),
+], ids=["same", "dotdot", "symlink", "trace_is_config", "metadata_is_config"])
+def test_run_refuses_paths_that_are_one_file(tmp_path, capsys, trace, metadata, names):
+    # before, the metadata replaced the trace and the run exited 0
+    (tmp_path / "t.csv").write_text("earlier trace\n")
+    (tmp_path / "link.csv").symlink_to(tmp_path / "t.csv")
+    t, m = str(tmp_path / trace), str(tmp_path / metadata)
+    path, _ = write_config(tmp_path, outputs={"trace": t, "metadata": m})
+    message = names.format(c=path, t=t, m=m)
+    assert_refused(tmp_path, capsys, ["run", "--config", str(path)],
+                   f"{path}: {message} are one file")
+
+
+def test_run_output_path_that_is_no_string_exits_1(tmp_path, capsys):
+    # open(5, "w") would have written the trace to file descriptor 5
+    path, _ = write_config(tmp_path, outputs={"trace": 5, "metadata": str(tmp_path / "m.json")})
+    assert main(["run", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("marks", ["ce.csv", "sub/../ce.csv"], ids=["same", "dotdot"])
+def test_counterexample_refuses_marks_that_are_the_trace(tmp_path, capsys, marks):
+    out, marks = str(tmp_path / "ce.csv"), str(tmp_path / marks)
+    (tmp_path / "ce.csv").write_text("earlier trace\n")
+    assert_refused(tmp_path, capsys, ["counterexample", "--t", "0.5", "--groups", "2",
+                                      "--out", out, "--marks", marks],
+                   f"--out {out} and --marks {marks} are one file")
+
+
+def test_check_refuses_a_report_that_is_the_trace(finite_trace, tmp_path, capsys):
+    # before, the report replaced the trace it had just checked
+    report = str(tmp_path / "sub" / ".." / os.path.basename(finite_trace))
+    assert_refused(tmp_path, capsys, ["check", "--trace", finite_trace, "--report", report],
+                   f"--trace {finite_trace} and --report {report} are one file")
+
+
+def test_sweep_refuses_configs_that_share_an_output(tmp_path, capsys):
+    # before, one trace was lost and both configs printed ok
+    shared = str(tmp_path / "shared.csv")
+    (tmp_path / "shared.csv").write_text("earlier trace\n")
+    p1, _ = write_config(tmp_path, name="s1.json",
+                         outputs={"trace": shared, "metadata": str(tmp_path / "m1.json")})
+    p2, _ = write_config(tmp_path, name="s2.json",
+                         outputs={"trace": shared, "metadata": str(tmp_path / "m2.json")})
+    assert_refused(tmp_path, capsys, ["sweep", "--config", str(p1), "--config", str(p2)],
+                   f"{p1} outputs.trace {shared} and {p2} outputs.trace {shared} are one file")
+
+
+def test_sweep_refuses_an_output_that_is_another_config(tmp_path, capsys):
+    p2, _ = write_config(tmp_path, name="s2.json")
+    p1, _ = write_config(tmp_path, name="s1.json",
+                         outputs={"trace": str(tmp_path / "t1.csv"), "metadata": str(p2)})
+    assert_refused(tmp_path, capsys, ["sweep", "--config", str(p1), "--config", str(p2)],
+                   f"config {p2} and {p1} outputs.metadata {p2} are one file")
 
 
 # exact exit codes and console output of the failures that end in one error line

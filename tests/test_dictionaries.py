@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -503,8 +504,7 @@ def test_pushforward_rejects_direct_sum_base():
                                          "components": [{"kind": "symmetrized_onb"}]}})
 
 
-@pytest.mark.parametrize("matrix", [[[1.0], [1.0, 2.0]], "ab", [[1j]], [[10 ** 400]]],
-                         ids=["ragged", "string", "complex", "huge_int"])
+@pytest.mark.parametrize("matrix", [[[1.0], [1.0, 2.0]], "ab"], ids=["ragged", "string"])
 def test_pushforward_rejects_a_matrix_that_is_no_real_array(matrix):
     with pytest.raises(NotOrthogonalError, match="matrix must be a square array of reals"):
         pushforward(make_symmetrized_onb(), matrix)
@@ -522,8 +522,14 @@ def test_pushforward_rejects_a_matrix_that_is_no_real_array(matrix):
     (np.eye(2, dtype=object), "matrix must have a real dtype, got object"),
     ([np.array([True, False]), np.array([False, True])], "matrix[0] must have a real dtype, got bool"),
     ([np.array(["1", "0"]), [0.0, 1.0]], "matrix[0] must have a real dtype, got <U1"),
+    ([[1j]], "matrix[0][0] must be a real number, got 1j"),
+    ([[10 ** 400]], "matrix[0][0] is an integer too large for a float"),
+    ([[None, 0.0], [0.0, 1.0]], "matrix[0][0] must be a real number, got None"),
+    ([[1.0, 0.0], [0.0, b"1"]], "matrix[1][1] must be a real number, got b'1'"),
+    ([[Decimal(1), 0.0], [0.0, b"1"]], "matrix[0][0] must be a real number, got Decimal('1')"),
 ], ids=["string_entry", "numeric_string", "bool", "false_int_row", "numpy_bool", "bool_array",
-        "string_array", "complex_array", "object_array", "bool_array_rows", "string_array_row"])
+        "string_array", "complex_array", "object_array", "bool_array_rows", "string_array_row",
+        "complex", "huge_int", "none", "bytes", "decimal"])
 def test_pushforward_matrix_follows_the_number_rule(matrix, message):
     # asarray would read "1", True and an orthogonal bool or string array as
     # reals, and the run would go on
