@@ -28,23 +28,37 @@ from .sequences import (
     Power,
     check_conditions,
 )
-from .counterexample import (
-    AdversarialPlan,
-    CounterexampleConfig,
-    build_plan,
-    build_target,
-    choose_k,
-    default_config,
-    run_counterexample,
-    run_plan,
-)
-from .analysis import (
-    VerificationReport,
-    residual_extrema,
-    verify_block_partition,
-    verify_descent_inequality,
-    verify_energy_identity,
-    verify_greedy_condition,
-)
+
+# counterexample and analysis load on first use (PEP 562), so a command that
+# runs an expansion never builds their dataclasses: each name below, and each
+# of the two modules, resolves through __getattr__ from this table of the
+# submodule that defines it
+_LAZY = {
+    **dict.fromkeys(["counterexample", "AdversarialPlan", "CounterexampleConfig", "build_plan",
+                     "build_target", "choose_k", "default_config", "run_counterexample",
+                     "run_plan"], "counterexample"),
+    **dict.fromkeys(["analysis", "VerificationReport", "residual_extrema",
+                     "verify_block_partition", "verify_descent_inequality",
+                     "verify_energy_identity", "verify_greedy_condition"], "analysis"),
+}
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines name, cache name here and return it."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"

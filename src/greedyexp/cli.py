@@ -8,6 +8,10 @@ Exit codes: 0 success, 1 bad config, non-finite input, unreadable input,
 unwritable output or two of a command's paths that are one file, 2 run aborted, 3 verification failed. ``main`` turns an
 OSError or GreedyExpansionError into ``error: <message>`` and exit 1; only
 ``run_experiment`` (sweep's worker entry point) and check's trace read keep their own.
+
+A command imports what only it uses: check the analysis module, counterexample
+(and a run on a counterexample target) the counterexample module and sweep
+the process pool, so a run that needs none of them never loads them.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from . import analysis, counterexample, engine, sequences
+from . import engine, sequences
 from .core import SparseVector
 from .dictionaries import (
     ADMISSIBILITY_SLACK,
@@ -58,21 +62,25 @@ def _target_from_config(spec: dict) -> SparseVector:
     if "file" in spec:
         return SparseVector.from_json(engine._load_json(spec["file"], **_FINITE_JSON))
     if "counterexample" in spec:
+        from . import counterexample
         ce = spec["counterexample"]
         cfg = counterexample.default_config(ce["t"], ce["groups"], ce.get("k"))
         return counterexample.build_target(cfg)
     raise ConfigInvalidError("target spec needs 'inline', 'file' or 'counterexample'")
 
 
-def _max_greedy(spec: dict) -> MaxGreedy:
-    if set(spec) != {"kind"}:
+def _policy_args(spec: dict, *keys: str) -> list:
+    """spec's values at keys, the only keys its policy kind takes: a missing
+    one raises KeyError, which parse_tagged names, and any other key
+    ConfigInvalidError."""
+    if not set(spec) <= {"kind", *keys}:
         raise ConfigInvalidError(f"unknown policy spec {spec!r}")
-    return MaxGreedy()
+    return [spec[key] for key in keys]
 
 
 _POLICY_BUILDERS = {
-    "max_greedy": _max_greedy,
-    "scripted": lambda spec: Scripted(spec.get("atoms", [])),
+    "max_greedy": lambda spec: MaxGreedy(*_policy_args(spec)),
+    "scripted": lambda spec: Scripted(*_policy_args(spec, "atoms")),
 }
 
 
@@ -143,6 +151,7 @@ def run_experiment(config_path: str) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    from . import counterexample
     marks_path = args.marks or (os.path.splitext(args.out)[0] + ".marks.json")
     _distinct_paths([("--out", args.out), ("--marks", marks_path)])
     cfg = counterexample.default_config(args.t, args.groups, args.k)
@@ -174,6 +183,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import analysis
     if args.report:
         _distinct_paths([("--trace", args.trace), ("--report", args.report)])
     try:
@@ -217,7 +227,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    # imported here: no other command pays for the multiprocessing modules
     from concurrent.futures import ProcessPoolExecutor
 
     paths = args.configs

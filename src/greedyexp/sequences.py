@@ -192,8 +192,13 @@ def _explicit_values(spec: dict):
     if "values" in spec:
         return spec["values"]
     if "file" in spec:
-        with open(spec["file"], newline="") as fh:
-            return [float(row[0]) for row in csv.reader(fh) if row]
+        path = spec["file"]
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                return [float(row[0]) for row in reader if row]
+            except csv.Error as exc:
+                raise ConfigInvalidError(f"{path}: line {reader.line_num}: {exc}") from exc
     raise ConfigInvalidError("explicit sequence spec needs 'values' or 'file'")
 
 

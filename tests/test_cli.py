@@ -58,6 +58,8 @@ def test_run_malformed_dictionary_exits_1(tmp_path, capsys):
     {"kind": "scripted", "atoms": [5]},
     {"kind": "scripted", "atoms": [["e", 0, 3]]},
     {"kind": "max_greedy", "atoms": []},
+    {"kind": "scripted"},
+    {"kind": "scripted", "atom": ["+e1"]},
 ])
 def test_run_malformed_policy_exits_1(tmp_path, capsys, policy):
     path, _ = write_config(tmp_path, policy=policy)
@@ -264,6 +266,14 @@ def test_run_inadmissible_scripted_plan_exits_2(tmp_path):
     meta = json.loads(open(config["outputs"]["metadata"]).read())
     assert meta["status"]["kind"] == "aborted"
     assert "NoAdmissibleAtom" in meta["status"]["reason"]
+
+
+def test_run_empty_scripted_plan_is_a_valid_config_that_aborts_at_step_1(tmp_path):
+    path, config = write_config(tmp_path, policy={"kind": "scripted", "atoms": []})
+    assert main(["run", "--config", str(path)]) == 2
+    meta = json.loads(open(config["outputs"]["metadata"]).read())
+    assert meta["steps"] == 0 and meta["status"]["kind"] == "aborted"
+    assert "selection plan exhausted at step 1" in meta["status"]["reason"]
 
 
 def test_run_counterexample_target_source(tmp_path):

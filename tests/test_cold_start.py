@@ -6,6 +6,9 @@ array is built (a nonempty head, a pushforward matrix, the coherence tools) and
 the process pool only in sweep: the empty heads of the symmetrized basis and
 of an augmented basis without extra atoms load nothing, and neither does a
 chain of nested direct sums, which is refused before a component is built.
+analysis and counterexample load on first use: run loads neither, check
+loads analysis, and counterexample and a counterexample target load
+counterexample, while every name the package exports still resolves.
 """
 
 import json
@@ -14,7 +17,11 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import types
 
+import pytest
+
+import greedyexp
 from greedyexp import (SparseVector, atom_id_str, cli, dictionary_from_config, estimate_coherence,
                        make_finite)
 
@@ -244,3 +251,149 @@ def test_nested_direct_sums_are_refused_before_a_component_is_built():
         print(json.dumps([sorted(refused), loaded, value]))
     """))
     assert result == [["direct sums cannot be nested"], False, 0.5]
+
+
+# -- analysis and counterexample load on first use ---------------------------
+
+# what `from greedyexp import *` binds: the expansion path, the two modules
+# that load on first use and their names, and the submodules themselves
+EXPORTS = [
+    "AdversarialPlan", "Atom", "CoherenceEstimate", "ConditionReport", "ConstantWeakening",
+    "CounterexampleConfig", "Dictionary", "Explicit", "ExplicitWeakening", "Harmonic", "MaxGreedy",
+    "Power", "Scripted", "SparseVector", "Status", "StepRecord", "Trace", "VerificationReport",
+    "analysis", "atom_id_str", "build_plan", "build_target", "check_conditions", "choose_k", "core",
+    "counterexample", "default_config", "dictionaries", "dictionary_from_config", "direct_sum",
+    "engine", "errors", "estimate_coherence", "inner", "make_augmented_onb", "make_finite",
+    "make_symmetrized_onb", "norm", "parse_atom_id", "pushforward", "reconstruct",
+    "residual_extrema", "run", "run_counterexample", "run_plan", "sequences", "spans_ambient",
+    "subtract_scaled", "verify_block_partition", "verify_descent_inequality",
+    "verify_energy_identity", "verify_greedy_condition",
+]
+
+# loaded() says which of the two lazily loaded modules the process holds
+LOADED = """
+import contextlib, io, json, sys
+
+def loaded():
+    return [name in sys.modules for name in ("greedyexp.analysis", "greedyexp.counterexample")]
+"""
+
+PRELUDES = pytest.mark.parametrize("prelude", ["", BLOCK_NUMPY], ids=["numpy", "numpy_blocked"])
+
+
+def lazy(prelude: str, code: str, *args: str):
+    """The last JSON line code prints in a fresh interpreter, after prelude and LOADED."""
+    return last_json(fresh(prelude + LOADED + textwrap.dedent(code), *args))
+
+
+def described(value) -> str:
+    """A module's name, or where a class or function is defined."""
+    if isinstance(value, types.ModuleType):
+        return value.__name__
+    return f"{value.__module__}.{value.__qualname__}"
+
+
+@PRELUDES
+def test_importing_the_package_or_the_cli_loads_neither_lazy_module(prelude):
+    assert lazy(prelude, """
+        import greedyexp
+        first = loaded()
+        import greedyexp.cli
+        print(json.dumps([first, loaded()]))
+    """) == [[False, False], [False, False]]
+
+
+@PRELUDES
+def test_each_command_loads_only_the_lazy_module_it_uses(tmp_path, prelude):
+    basis = run_config(tmp_path / "basis.json", {"kind": "symmetrized_onb"}, tmp_path / "basis.csv")
+    config = json.loads(open(basis).read())
+    config["target"] = {"counterexample": {"t": 0.5, "groups": 2}}
+    config["outputs"] = {"trace": str(tmp_path / "target.csv"),
+                         "metadata": str(tmp_path / "target.meta.json")}
+    (tmp_path / "target.json").write_text(json.dumps(config))
+    commands = [
+        (["run", "--config", basis], [False, False]),
+        (["check", "--trace", str(tmp_path / "basis.csv")], [True, False]),
+        (["counterexample", "--t", "0.5", "--groups", "3", "--out", str(tmp_path / "ce.csv")],
+         [False, True]),
+        (["run", "--config", str(tmp_path / "target.json")], [False, True]),
+    ]
+    for argv, want in commands:
+        assert lazy(prelude, """
+            from greedyexp import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(sys.argv[1:])
+            print(json.dumps([code, loaded()]))
+        """, *argv) == [0, want], argv
+
+
+# the three routes to a name, each run in a fresh interpreter: values maps
+# every name in names to what the route bound
+ROUTES = {
+    "attribute": "values = {name: getattr(greedyexp, name) for name in names}",
+    "from": """
+        values = {}
+        for name in names:
+            exec(f"from greedyexp import {name}", values)
+        del values["__builtins__"]
+    """,
+    "star": """
+        values = {}
+        exec("from greedyexp import *", values)
+        del values["__builtins__"]
+    """,
+}
+
+
+@PRELUDES
+@pytest.mark.parametrize("route", ROUTES)
+def test_every_export_resolves_by_attribute_from_import_and_star(prelude, route):
+    code = "".join(textwrap.dedent(part) for part in ("""
+        import types
+        import greedyexp
+        names = json.loads(sys.argv[1])
+        unlisted, before = sorted(set(names) - set(dir(greedyexp))), loaded()
+    """, ROUTES[route], """
+        got = {name: value.__name__ if isinstance(value, types.ModuleType)
+               else f"{value.__module__}.{value.__qualname__}" for name, value in values.items()}
+        print(json.dumps([unlisted, before, got, loaded()]))
+    """))
+    unlisted, before, got, after = lazy(prelude, code, json.dumps(EXPORTS))
+    assert unlisted == [] and before == [False, False]
+    assert got == {name: described(getattr(greedyexp, name)) for name in EXPORTS}
+    assert after == [True, True]
+
+
+@PRELUDES
+def test_an_unknown_name_raises_attribute_error_and_loads_nothing(prelude):
+    assert lazy(prelude, """
+        import greedyexp
+        try:
+            greedyexp.no_such_name
+            message = None
+        except AttributeError as exc:
+            message = str(exc)
+        try:
+            from greedyexp import no_such_name
+            imported = True
+        except ImportError:
+            imported = False
+        print(json.dumps([message, imported, loaded()]))
+    """) == ["module 'greedyexp' has no attribute 'no_such_name'", False, [False, False]]
+
+
+@PRELUDES
+def test_a_plan_and_a_report_pickled_here_load_in_a_fresh_process(prelude):
+    from greedyexp import build_plan, default_config, run_plan, verify_energy_identity
+
+    plan = build_plan(default_config(0.5, 3))
+    report = verify_energy_identity(run_plan(plan))
+    data = pickle.dumps([plan, report])
+    steps, checks, again, modules = lazy(prelude, """
+        import pickle
+        plan, report = pickle.loads(bytes.fromhex(sys.argv[1]))
+        print(json.dumps([len(plan), report.to_json_obj(), pickle.dumps([plan, report]).hex(),
+                          loaded()]))
+    """, data.hex())
+    assert steps == len(plan) and checks == report.to_json_obj()
+    assert bytes.fromhex(again) == data and modules == [True, True]

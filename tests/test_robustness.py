@@ -359,6 +359,21 @@ def test_cli_run_deeply_nested_target_file_exits_1(tmp_path, capsys):
     assert one_error_line(err, f"error: {path}: {DEEP_MESSAGE}")
 
 
+@pytest.mark.parametrize("section", ["coefficients", "weakening"])
+def test_cli_run_explicit_file_over_the_csv_field_limit_exits_1(tmp_path, capsys, section):
+    values = tmp_path / "values.csv"
+    values.write_text("0.5\n\n" + "m" * 200_000 + "\n")
+    path = run_config(tmp_path, [[1, 0.5]])
+    config = json.loads(open(path).read())
+    config[section] = {"kind": "explicit", "file": str(values)}
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    code = main(["run", "--config", path])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert one_error_line(err, f"error: {path}: {values}: line 3: field larger than field limit")
+
+
 def test_sweep_deeply_nested_config_exits_1(tmp_path, capsys):
     (tmp_path / "deep.json").write_text(DEEP_JSON)
     good = run_config(tmp_path, [[1, 0.5]])
